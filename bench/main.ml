@@ -7,39 +7,39 @@
    polymerization search, the Equation-2 cost model, the device simulator,
    …) — the quantities Figure 12a's overhead analysis depends on.
 
-   Usage: main.exe [--quick] [--skip-experiments] [--skip-micro]
-          [--skip-telemetry] [--skip-parallel] [--skip-graph]
-          [--skip-adapt] [--skip-resilience] [--skip-fleet]
-          [--skip-rank] [--skip-hetero] [ids...] *)
+   Usage: main.exe [--quick] [--only STAGE[,STAGE]] [ids...]
+
+   Stages, run in this order: experiments, micro, telemetry, parallel,
+   graph, adapt, resilience, fleet, rank, hetero. [--only] restricts the
+   run to the named stages (default: all of them); an unknown stage name
+   exits with code 2. [ids] restrict the experiments stage to those
+   experiment ids. *)
 
 open Bechamel
 open Toolkit
 
 let quick = Array.exists (( = ) "--quick") Sys.argv
 
-let skip_experiments = Array.exists (( = ) "--skip-experiments") Sys.argv
-
-let skip_micro = Array.exists (( = ) "--skip-micro") Sys.argv
-
-let skip_telemetry = Array.exists (( = ) "--skip-telemetry") Sys.argv
-
-let skip_parallel = Array.exists (( = ) "--skip-parallel") Sys.argv
-
-let skip_graph = Array.exists (( = ) "--skip-graph") Sys.argv
-
-let skip_adapt = Array.exists (( = ) "--skip-adapt") Sys.argv
-
-let skip_resilience = Array.exists (( = ) "--skip-resilience") Sys.argv
-
-let skip_fleet = Array.exists (( = ) "--skip-fleet") Sys.argv
-
-let skip_rank = Array.exists (( = ) "--skip-rank") Sys.argv
-
-let skip_hetero = Array.exists (( = ) "--skip-hetero") Sys.argv
+(* The stages named by [--only STAGE[,STAGE]]; empty runs them all. *)
+let only =
+  let rec find = function
+    | [ "--only" ] ->
+      prerr_endline "bench: --only needs a STAGE[,STAGE] list";
+      exit 2
+    | "--only" :: stages :: _ -> String.split_on_char ',' stages
+    | _ :: rest -> find rest
+    | [] -> []
+  in
+  find (Array.to_list Sys.argv)
 
 let selected_ids =
-  Array.to_list Sys.argv |> List.tl
-  |> List.filter (fun a -> not (String.length a >= 2 && String.sub a 0 2 = "--"))
+  let rec ids = function
+    | "--only" :: _ :: rest -> ids rest
+    | a :: rest when String.starts_with ~prefix:"--" a -> ids rest
+    | a :: rest -> a :: ids rest
+    | [] -> []
+  in
+  ids (List.tl (Array.to_list Sys.argv))
 
 let experiments () =
   match selected_ids with
@@ -925,13 +925,28 @@ let run_hetero_bench () =
 %!" path
 
 let () =
-  if not skip_experiments then run_experiments ();
-  if not skip_micro then run_micro ();
-  if not skip_telemetry then run_telemetry_overhead ();
-  if not skip_parallel then run_parallel_bench ();
-  if not skip_graph then run_graph_bench ();
-  if not skip_adapt then run_adapt_bench ();
-  if not skip_resilience then run_resilience_bench ();
-  if not skip_fleet then run_fleet_bench ();
-  if not skip_rank then run_rank_bench ();
-  if not skip_hetero then run_hetero_bench ()
+  let stages =
+    [
+      ("experiments", run_experiments);
+      ("micro", run_micro);
+      ("telemetry", run_telemetry_overhead);
+      ("parallel", run_parallel_bench);
+      ("graph", run_graph_bench);
+      ("adapt", run_adapt_bench);
+      ("resilience", run_resilience_bench);
+      ("fleet", run_fleet_bench);
+      ("rank", run_rank_bench);
+      ("hetero", run_hetero_bench);
+    ]
+  in
+  List.iter
+    (fun name ->
+      if not (List.mem_assoc name stages) then begin
+        Printf.eprintf "bench: unknown stage %S (stages: %s)\n" name
+          (String.concat "," (List.map fst stages));
+        exit 2
+      end)
+    only;
+  List.iter
+    (fun (name, run) -> if only = [] || List.mem name only then run ())
+    stages

@@ -120,7 +120,7 @@ echo "== parallel-win =="
 # the programs must be byte-identical across job counts, and analytic
 # pruning must cut scored candidates at least 5x with the identical
 # program. The greps re-assert the recorded verdicts on the artifact.
-dune exec bench/main.exe -- --quick --skip-experiments --skip-micro --skip-telemetry --skip-graph --skip-adapt --skip-resilience --skip-fleet --skip-rank --skip-hetero
+dune exec bench/main.exe -- --quick --only parallel
 test -s BENCH_parallel.json
 grep -q '"passed":true' BENCH_parallel.json
 if grep -q '"programs_identical":false' BENCH_parallel.json; then
@@ -130,19 +130,19 @@ fi
 grep -q '"candidates_scored"' BENCH_parallel.json
 
 echo "== graph bench =="
-dune exec bench/main.exe -- --quick --skip-experiments --skip-micro --skip-telemetry --skip-parallel --skip-adapt --skip-resilience --skip-fleet --skip-rank --skip-hetero
+dune exec bench/main.exe -- --quick --only graph
 test -s BENCH_graph.json
 
 echo "== adapt bench =="
-dune exec bench/main.exe -- --quick --skip-experiments --skip-micro --skip-telemetry --skip-parallel --skip-graph --skip-resilience --skip-fleet --skip-rank --skip-hetero
+dune exec bench/main.exe -- --quick --only adapt
 test -s BENCH_adapt.json
 
 echo "== resilience bench =="
-dune exec bench/main.exe -- --quick --skip-experiments --skip-micro --skip-telemetry --skip-parallel --skip-graph --skip-adapt --skip-fleet --skip-rank --skip-hetero
+dune exec bench/main.exe -- --quick --only resilience
 test -s BENCH_resilience.json
 
 echo "== fleet bench =="
-dune exec bench/main.exe -- --quick --skip-experiments --skip-micro --skip-telemetry --skip-parallel --skip-graph --skip-adapt --skip-resilience --skip-rank --skip-hetero
+dune exec bench/main.exe -- --quick --only fleet
 test -s BENCH_fleet.json
 
 echo "== rank smoke test =="
@@ -172,7 +172,7 @@ dune exec bin/mikpoly_cli.exe -- serve --quick --ranker "$rank_model"
 rm -f "$rank_a" "$rank_b" "$rank_model"
 
 echo "== rank bench =="
-dune exec bench/main.exe -- --quick --skip-experiments --skip-micro --skip-telemetry --skip-parallel --skip-graph --skip-adapt --skip-resilience --skip-fleet --skip-hetero
+dune exec bench/main.exe -- --quick --only rank
 test -s BENCH_rank.json
 grep -q '"gates_ok":true' BENCH_rank.json
 
@@ -198,7 +198,7 @@ cmp "$hetero_a" "$hetero_b"
 rm -f "$hetero_a" "$hetero_b"
 
 echo "== hetero bench =="
-dune exec bench/main.exe -- --quick --skip-experiments --skip-micro --skip-telemetry --skip-parallel --skip-graph --skip-adapt --skip-resilience --skip-fleet --skip-rank
+dune exec bench/main.exe -- --quick --only hetero
 test -s BENCH_hetero.json
 grep -q '"gates_ok":true' BENCH_hetero.json
 

@@ -112,10 +112,35 @@ type outcome = {
   tiers : tier_metrics list;
 }
 
-let slo_met (c : Sch.completed) =
-  let r = c.Sch.request in
-  c.Sch.first_token -. r.Request.arrival <= r.Request.slo.Request.ttft
-  && c.Sch.finish -. r.Request.arrival <= r.Request.slo.Request.e2e
+let slo_met = Event_loop.slo_met
+
+let tier_metrics trace completed =
+  (* per tier: requests, completed, SLO met *)
+  let tally = List.map (fun t -> (t, (ref 0, ref 0, ref 0))) Tenant.tiers in
+  List.iter
+    (fun (tg : Tenant.tagged) ->
+      let reqs, _, _ = List.assoc tg.Tenant.tenant.Tenant.tier tally in
+      incr reqs)
+    trace;
+  let tenant_of = Tenant.lookup trace in
+  List.iter
+    (fun (c : Sch.completed) ->
+      let tier = (tenant_of c.Sch.request.Request.id).Tenant.tier in
+      let _, comps, met = List.assoc tier tally in
+      incr comps;
+      if slo_met c then incr met)
+    completed;
+  List.map
+    (fun (tier, (reqs, comps, met)) ->
+      {
+        tm_tier = tier;
+        tm_requests = !reqs;
+        tm_completed = !comps;
+        tm_slo_met = !met;
+        tm_attainment =
+          (if !reqs = 0 then 1. else float_of_int !met /. float_of_int !reqs);
+      })
+    tally
 
 let to_scheduler_outcome (o : outcome) : Sch.outcome =
   {
@@ -138,302 +163,149 @@ let to_scheduler_outcome (o : outcome) : Sch.outcome =
     injected_faults = o.injected_faults;
   }
 
-type active = {
-  a_tg : Tenant.tagged;
-  mutable a_remaining : int;
-  mutable a_kv : int;
-  mutable a_prefill : int;
-  mutable a_first : float;
-}
+module L = Event_loop
 
-type slot = {
-  sl_idx : int;
-  mutable sl_active : bool;
-  mutable sl_clock : float;
-  mutable sl_act : active list;
-  mutable sl_cache : unit Shape_cache.t;
-  mutable sl_step : int;  (* monotone per slot: the fault-draw key *)
-  mutable sl_down_until : float;
-  mutable sl_spawned : float;
-}
-
-(* Event kinds in tie priority order: a crash preempts the arrival it
-   races, arrivals land before the background planes run, and the
-   replica step goes last so it sees the freshest queue — all fixed, so
-   the interleaving is deterministic. *)
-let prio_crash = 0
-
-let prio_arrival = 1
-
-let prio_refresh = 2
-
-let prio_scale = 3
-
-let prio_step = 4
-
+(* A fleet is a one-class run of the serving event loop: its planes are
+   the learned warm store (arrival learning plus a periodic background
+   refresh), owner affinity for coalesced groups, and the autoscaler
+   tick. It places nothing, so no router view is ever built. *)
 let run ?(faults = Plan.none) config engine trace =
   validate config;
-  let max_slots =
-    match config.autoscale with
-    | Some a -> max config.replicas a.Autoscaler.max_replicas
-    | None -> config.replicas
-  in
-  let init_active =
+  let max_slots, init_active =
     match config.autoscale with
     | Some a ->
-      max a.Autoscaler.min_replicas
-        (min config.replicas a.Autoscaler.max_replicas)
-    | None -> config.replicas
-  in
-  let slots =
-    Array.init max_slots (fun i ->
-        {
-          sl_idx = i;
-          sl_active = i < init_active;
-          sl_clock = 0.;
-          sl_act = [];
-          sl_cache = Shape_cache.create ~capacity:config.cache_capacity;
-          sl_step = 0;
-          sl_down_until = 0.;
-          sl_spawned = 0.;
-        })
-  in
-  Tm.Metrics.gauge_add g_replicas (float_of_int init_active);
-  let q = Wfq.create () in
-  let learner =
-    match config.warm with
-    | Some w -> Some (Learner.create ~half_life:w.warm_half_life ())
-    | None -> None
+      ( max config.replicas a.Autoscaler.max_replicas,
+        max a.Autoscaler.min_replicas
+          (min config.replicas a.Autoscaler.max_replicas) )
+    | None -> (config.replicas, config.replicas)
   in
   (* Warm-store admission is mass-aware, not LRU: a warm entry's weight
      is its bucket's decayed learner mass at the moment an admission
      decision is made, so a scan of cold buckets churns among the cold
      entries and can never evict a heavy-tail tenant's hot bucket.
-     [warm_sig] remembers which bucket produced each warm shape (filled
-     wherever [step_shapes] expands a bucket) and [warm_now] tracks the
-     event clock the decay is evaluated at. *)
+     [warm_sig] remembers which bucket produced each warm shape, filled
+     wherever the engine expands a bucket into step shapes. *)
   let warm_sig : (Shape_cache.key, int) Hashtbl.t = Hashtbl.create 64 in
-  let warm_now = ref 0. in
-  let warm_store =
-    match (config.warm, learner) with
-    | Some w, Some l ->
+  let engine =
+    {
+      engine with
+      Sch.step_shapes =
+        (fun ~tokens ->
+          let shapes = engine.Sch.step_shapes ~tokens in
+          List.iter
+            (fun (shape, _) -> Hashtbl.replace warm_sig shape tokens)
+            shapes;
+          shapes);
+    }
+  in
+  let k =
+    L.create ~faults ?ratelimit:config.ratelimit ~batcher:config.batcher
+      ~bucketing:config.bucketing ~cache_capacity:config.cache_capacity
+      ~coalesce:config.coalesce ~classes:[ (engine, max_slots) ] trace
+  in
+  let c = k.L.classes.(0) in
+  let slots = c.L.c_slots in
+  Array.iteri (fun i s -> s.L.sl_active <- i < init_active) slots;
+  Tm.Metrics.gauge_add g_replicas (float_of_int init_active);
+  let warm =
+    Option.map
+      (fun w -> (w, Learner.create ~half_life:w.warm_half_life ()))
+      config.warm
+  in
+  (* The class store is the warm store. Its weight is read at admission
+     time, i.e. at the event that publishes or refreshes — the loop's
+     current event clock. Without the warm plane it holds nothing, so
+     every replica miss compiles on-path. *)
+  c.L.c_store <-
+    (match warm with
+    | Some (w, l) ->
       let weight shape =
         match Hashtbl.find_opt warm_sig shape with
-        | Some s -> Learner.mass l ~now:!warm_now ~signature:s
+        | Some s -> Learner.mass l ~now:k.L.now ~signature:s
         | None -> 0.
       in
-      Some (Shape_cache.create_weighted ~weight ~capacity:w.warm_capacity)
-    | _ -> None
-  in
-  let register_warm_shapes b shapes =
-    List.iter
-      (fun ((shape : Shape_cache.key), _) -> Hashtbl.replace warm_sig shape b)
-      shapes;
-    shapes
-  in
-  (* Coalescing affinity: which slot last led a group for a signature.
-     A signature stays sticky to its owner until the owner retires or a
-     head request ages past [steal_age] — then the stealing slot claims
-     it. *)
-  let owner : (int, int) Hashtbl.t = Hashtbl.create 32 in
-  let pending =
-    ref
-      (List.stable_sort
-         (fun (a : Tenant.tagged) (b : Tenant.tagged) ->
-           Request.compare_arrival a.Tenant.req b.Tenant.req)
-         trace)
-  in
-  let completed = ref [] in
-  let dropped = ref [] in
-  let rate_limited = ref [] in
-  let limiter =
-    match config.ratelimit with
-    | Some base ->
-      Some
-        (Ratelimit.create
-           ~rate_for:(fun t -> Ratelimit.for_tier ~base t.Tenant.tier)
-           ())
-    | None -> None
-  in
-  let steps = ref 0 in
-  let stall_total = ref 0. in
-  let actual_tokens = ref 0 in
-  let padded_tokens = ref 0 in
-  let qsum = ref 0 in
-  let qsamples = ref 0 in
-  let makespan = ref 0. in
-  let crash_count = ref 0 in
-  let injected = ref 0 in
-  let requeues = ref 0 in
-  let warm_hits = ref 0 in
+      Shape_cache.create_weighted ~weight ~capacity:w.warm_capacity
+    | None -> Shape_cache.create ~capacity:0);
   let warm_compiles = ref 0 in
   let warm_bg_clock = ref 0. in
   let warm_bg_seconds = ref 0. in
-  let coalesced_groups = ref 0 in
+  let refresh w l ws ~now =
+    let top = Learner.top_k l ~now ~k:w.warm_top_k in
+    let shapes_of (signature, _) = engine.Sch.step_shapes ~tokens:signature in
+    (* Batch prewarm (wall clock only): every shape this refresh will
+       compile goes through one coarse batched search, so the modeled
+       [compile_seconds] lookups below are memo hits. The simulated
+       event-clock math is unchanged — the background worker still
+       charges each shape's modeled cost serially on its own clock. *)
+    let missing =
+      List.concat_map
+        (fun top ->
+          List.filter_map
+            (fun (shape, _) ->
+              if Shape_cache.mem ws shape then None else Some shape)
+            (shapes_of top))
+        top
+    in
+    if missing <> [] then ignore (engine.Sch.precompile_batch ~jobs:0 missing);
+    List.iter
+      (fun top ->
+        List.iter
+          (fun (shape, _) ->
+            if not (Shape_cache.mem ws shape) then begin
+              (* One background worker compiles serially, off every
+                 replica's critical path; the program only becomes warm
+                 once its compile finishes on that clock. *)
+              let cost = engine.Sch.compile_seconds shape in
+              warm_bg_clock := Float.max !warm_bg_clock now +. cost;
+              warm_bg_seconds := !warm_bg_seconds +. cost;
+              Shape_cache.add ws shape !warm_bg_clock;
+              incr warm_compiles;
+              Tm.Metrics.incr m_warm_compiles
+            end)
+          (shapes_of top))
+      top
+  in
+  (* Coalescing affinity: which slot last led a group for a signature.
+     A signature stays sticky to its owner until the owner retires or a
+     head request ages past [steal_age]. Affinity never un-work-conserves
+     the fleet: a busy or down owner is stolen from immediately; only an
+     idle, live owner — about to take the request itself — is deferred
+     to, and at most until the request ages past [steal_age]. *)
+  let owner : (int, int) Hashtbl.t = Hashtbl.create 32 in
+  let affinity =
+    {
+      L.lead_time =
+        (fun s ~aged tg ->
+          match Hashtbl.find_opt owner (L.signature k tg) with
+          | Some i when slots.(i).L.sl_active && i <> s.L.sl_idx ->
+            let o = slots.(i) in
+            if o.L.sl_act <> [] || o.L.sl_down_until > aged then aged
+            else
+              Float.max aged (tg.Tenant.req.Request.arrival +. config.steal_age)
+          | _ -> aged);
+      claim =
+        (fun s leader ->
+          Hashtbl.replace owner (L.signature k leader) s.L.sl_idx);
+    }
+  in
+  let spawned = Array.make max_slots 0. in
   let scale_ups = ref 0 in
   let scale_downs = ref 0 in
-  let retired_caches = ref [] in
   let replica_acc = ref 0. in
   let peak = ref init_active in
-  let met_count = ref 0 in
-  let resolved = ref 0 in
-  let crashes_left = ref faults.Plan.crashes in
-  let next_refresh =
-    ref (match config.warm with Some w -> w.warm_interval | None -> infinity)
-  in
-  let next_tick =
-    ref
-      (match config.autoscale with
-      | Some a -> a.Autoscaler.interval
-      | None -> infinity)
-  in
   let last_change = ref 0. in
-  let signature tg =
-    Bucketing.bucket config.bucketing tg.Tenant.req.Request.prompt_len
-  in
-  let owner_of s =
-    match Hashtbl.find_opt owner s with
-    | Some i when slots.(i).sl_active -> Some i
-    | _ -> None
-  in
-  (* Policy-aging instant for a queued request, mirroring the
-     [Batcher] predicates over the fleet-wide queue: a Timeout batcher
-     holds a request back for its window unless the shared queue alone
-     can fill the batch. *)
-  let aged_time in_flight tg =
-    let arrival = tg.Tenant.req.Request.arrival in
-    match config.batcher with
-    | Batcher.Greedy _ | Batcher.Slo_aware _ -> arrival
-    | Batcher.Timeout { window; max_batch } ->
-      if Wfq.length q + in_flight >= max_batch then arrival
-      else arrival +. window
-  in
-  (* Earliest instant slot [r] may take this request as a group leader.
-     Affinity never un-work-conserves the fleet: a busy or down owner is
-     stolen from immediately (its cache locality is moot — it cannot
-     serve now, and the warm store shares programs anyway); only an
-     idle, live owner — which is about to take the request itself — is
-     deferred to, and at most until the request ages past [steal_age].
-     Owner state is read at evaluation time; the event loop recomputes
-     slot wake-ups every iteration, so the answer is always current. *)
-  let affinity_time r in_flight tg =
-    let aged = aged_time in_flight tg in
-    if not config.coalesce then aged
-    else
-      match owner_of (signature tg) with
-      | None -> aged
-      | Some i when i = r.sl_idx -> aged
-      | Some i ->
-        let o = slots.(i) in
-        if o.sl_act <> [] || o.sl_down_until > aged then aged
-        else Float.max aged (tg.Tenant.req.Request.arrival +. config.steal_age)
-  in
-  let slot_next_time r =
-    if not r.sl_active then None
-    else
-      let base = Float.max r.sl_clock r.sl_down_until in
-      if r.sl_act <> [] then Some base
-      else if Wfq.is_empty q then None
-      else begin
-        let earliest =
-          List.fold_left
-            (fun acc tg -> Float.min acc (affinity_time r 0 tg))
-            infinity (Wfq.to_list q)
-        in
-        Some (Float.max base earliest)
-      end
-  in
   let active_slots () =
-    Array.to_list slots |> List.filter (fun r -> r.sl_active)
-  in
-  let work_remains () =
-    !pending <> []
-    || (not (Wfq.is_empty q))
-    || Array.exists (fun r -> r.sl_active && r.sl_act <> []) slots
-  in
-  let resolve_drop (req : Request.t) =
-    dropped := !dropped @ [ req ];
-    incr resolved;
-    Tm.Metrics.incr m_dropped
-  in
-  let do_crash target ~now =
-    match active_slots () with
-    | [] -> ()
-    | actives ->
-      let r = List.nth actives (target mod List.length actives) in
-      incr crash_count;
-      incr injected;
-      Tm.Metrics.incr m_crashes;
-      (* In-flight work bounces back to the front of its tenants' lanes
-         uncharged — progress (tokens, KV) is lost with the process, but
-         the requests are not. *)
-      requeues := !requeues + List.length r.sl_act;
-      List.iter
-        (fun a -> Wfq.push_front q a.a_tg)
-        (List.rev r.sl_act);
-      r.sl_act <- [];
-      retired_caches := Shape_cache.stats r.sl_cache :: !retired_caches;
-      r.sl_cache <- Shape_cache.create ~capacity:config.cache_capacity;
-      r.sl_down_until <- now +. faults.Plan.restart_delay;
-      r.sl_clock <- Float.max r.sl_clock r.sl_down_until;
-      makespan := Float.max !makespan r.sl_down_until
-  in
-  let do_refresh w ~now =
-    match (learner, warm_store) with
-    | Some l, Some ws ->
-      warm_now := now;
-      let top = Learner.top_k l ~now ~k:w.warm_top_k in
-      (* Batch prewarm (wall clock only): every shape this refresh will
-         compile goes through one coarse batched search, so the modeled
-         [compile_seconds] lookups below are memo hits. The simulated
-         event-clock math is unchanged — the background worker still
-         charges each shape's modeled cost serially on its own clock. *)
-      let missing =
-        List.concat_map
-          (fun (signature, _) ->
-            List.filter_map
-              (fun (shape, _) ->
-                if Shape_cache.mem ws shape then None else Some shape)
-              (register_warm_shapes signature
-                 (engine.Sch.step_shapes ~tokens:signature)))
-          top
-      in
-      if missing <> [] then
-        ignore (engine.Sch.precompile_batch ~jobs:0 missing);
-      List.iter
-        (fun (signature, _) ->
-          List.iter
-            (fun (shape, _) ->
-              if not (Shape_cache.mem ws shape) then begin
-                (* One background worker compiles serially, off every
-                   replica's critical path; the program only becomes
-                   warm once its compile finishes on that clock. *)
-                let c = engine.Sch.compile_seconds shape in
-                warm_bg_clock := Float.max !warm_bg_clock now +. c;
-                warm_bg_seconds := !warm_bg_seconds +. c;
-                Shape_cache.add ws shape !warm_bg_clock;
-                incr warm_compiles;
-                Tm.Metrics.incr m_warm_compiles
-              end)
-            (register_warm_shapes signature
-               (engine.Sch.step_shapes ~tokens:signature)))
-        top
-    | _ -> ()
+    List.filter (fun s -> s.L.sl_active) (Array.to_list slots)
   in
   let spawn ~now =
-    let rec find i =
-      if i >= max_slots then None
-      else if not slots.(i).sl_active then Some slots.(i)
-      else find (i + 1)
-    in
-    match find 0 with
+    match List.find_opt (fun s -> not s.L.sl_active) (Array.to_list slots) with
     | None -> false
-    | Some r ->
-      r.sl_active <- true;
-      r.sl_spawned <- now;
-      r.sl_clock <- now;
-      r.sl_down_until <- 0.;
-      r.sl_cache <- Shape_cache.create ~capacity:config.cache_capacity;
+    | Some s ->
+      s.L.sl_active <- true;
+      spawned.(s.L.sl_idx) <- now;
+      s.L.sl_clock <- now;
+      s.L.sl_down_until <- 0.;
+      s.L.sl_cache <- Shape_cache.create ~capacity:config.cache_capacity;
       incr scale_ups;
       Tm.Metrics.incr m_scale_ups;
       Tm.Metrics.gauge_add g_replicas 1.;
@@ -443,38 +315,39 @@ let run ?(faults = Plan.none) config engine trace =
   let retire ~now =
     (* Retire the youngest idle, healthy replica; if every replica is
        busy or down, hold — never kill in-flight work for efficiency. *)
-    let candidates =
-      List.filter
-        (fun r -> r.sl_act = [] && r.sl_down_until <= now)
-        (active_slots ())
-    in
-    match List.rev candidates with
+    match
+      List.rev
+        (List.filter
+           (fun s -> s.L.sl_act = [] && s.L.sl_down_until <= now)
+           (active_slots ()))
+    with
     | [] -> false
-    | r :: _ ->
-      r.sl_active <- false;
-      replica_acc := !replica_acc +. (now -. r.sl_spawned);
-      retired_caches := Shape_cache.stats r.sl_cache :: !retired_caches;
-      r.sl_cache <- Shape_cache.create ~capacity:config.cache_capacity;
+    | s :: _ ->
+      s.L.sl_active <- false;
+      replica_acc := !replica_acc +. (now -. spawned.(s.L.sl_idx));
+      c.L.c_retired <- Shape_cache.stats s.L.sl_cache :: c.L.c_retired;
+      s.L.sl_cache <- Shape_cache.create ~capacity:config.cache_capacity;
       incr scale_downs;
       Tm.Metrics.incr m_scale_downs;
       Tm.Metrics.gauge_add g_replicas (-1.);
       true
   in
-  let do_tick a ~now =
+  let tick a ~now =
     let live, down =
-      List.partition (fun r -> r.sl_down_until <= now) (active_slots ())
+      List.partition (fun s -> s.L.sl_down_until <= now) (active_slots ())
     in
     let n_live = max 1 (List.length live) in
+    let resolved = Hashtbl.length k.L.statuses in
     let signal =
       {
         Autoscaler.queue_depth =
-          float_of_int (Wfq.length q) /. float_of_int n_live;
+          float_of_int (Wfq.length c.L.c_q) /. float_of_int n_live;
         slo_attainment =
-          (if !resolved = 0 then 1.
-           else float_of_int !met_count /. float_of_int !resolved);
+          (if resolved = 0 then 1.
+           else float_of_int k.L.met /. float_of_int resolved);
         stall_ratio =
           (if now <= 0. then 0.
-           else !stall_total /. (now *. float_of_int n_live));
+           else k.L.stall_total /. (now *. float_of_int n_live));
         live_replicas = List.length live;
         down_replicas = List.length down;
       }
@@ -484,347 +357,68 @@ let run ?(faults = Plan.none) config engine trace =
     | Autoscaler.Scale_up -> if spawn ~now then last_change := now
     | Autoscaler.Scale_down -> if retire ~now then last_change := now
   in
-  let do_step r ~now =
-    (* Admission: pull an offer from the fleet queue in WFQ order (the
-       first grant is affinity-restricted when coalescing), then let the
-       Batcher policy rule on it. By construction the offer is already
-       policy-eligible, so the batcher admits or sheds — a deferral
-       would only mean the fleet-level aging predicate and the batcher
-       disagreed, and then the request simply returns to its lane. *)
-    let in_flight = List.length r.sl_act in
-    let cap = Batcher.max_batch config.batcher - in_flight in
-    let offer =
-      if cap <= 0 || Wfq.is_empty q then []
-      else
-        Wfq.take q ~max:cap
-          ~eligible:(fun tg -> aged_time in_flight tg <= now)
-          ~first:(fun tg -> affinity_time r in_flight tg <= now)
-          ~group:(fun leader tg ->
-            (not config.coalesce) || signature leader = signature tg)
-          ()
-    in
-    let tagged_of =
-      let table = Hashtbl.create 8 in
-      List.iter
-        (fun tg -> Hashtbl.replace table tg.Tenant.req.Request.id tg)
-        offer;
-      fun (req : Request.t) -> Hashtbl.find table req.Request.id
-    in
-    let d =
-      Batcher.admit config.batcher ~now ~in_flight
-        ~waiting:(List.map (fun tg -> tg.Tenant.req) offer)
-    in
-    List.iter
-      (fun req -> Wfq.push_front q (tagged_of req))
-      (List.rev d.Batcher.deferred);
-    List.iter resolve_drop d.Batcher.dropped;
-    (match offer with
-    | leader :: _ when config.coalesce ->
-      let s = signature leader in
-      Hashtbl.replace owner s r.sl_idx;
-      if
-        List.length offer > 1
-        && List.for_all (fun tg -> signature tg = s) offer
-      then incr coalesced_groups
-    | _ -> ());
-    r.sl_act <-
-      r.sl_act
-      @ List.map
-          (fun (req : Request.t) ->
-            let tg = tagged_of req in
-            {
-              a_tg = tg;
-              a_remaining = req.Request.output_len;
-              a_kv = 0;
-              a_prefill = req.Request.prompt_len;
-              a_first = nan;
-            })
-          d.Batcher.admitted;
-    if r.sl_act = [] then
-      (* SLO shedding may have emptied the offer; otherwise nudge the
-         clock so an admit-nothing policy step cannot livelock. *)
-      r.sl_clock <- (if d.Batcher.dropped <> [] then now else now +. 1e-6)
-    else begin
-      incr qsamples;
-      qsum := !qsum + Wfq.length q;
-      let tokens =
-        List.fold_left
-          (fun acc a -> acc + if a.a_prefill > 0 then a.a_prefill else 1)
-          0 r.sl_act
-      in
-      let kv_tokens = List.fold_left (fun acc a -> acc + a.a_kv) 0 r.sl_act in
-      (* Coalesced batches pad each member to its own bucket, so a group
-         of k same-signature prefills runs the k x bucket polymerized
-         program exactly — the step shape repeats whenever the same
-         group composition recurs, instead of chasing the bucket of an
-         arbitrary mixed sum. Uncoalesced admission keeps the
-         scheduler's bucket-of-the-sum model. *)
-      let btokens =
-        if config.coalesce then
-          List.fold_left
-            (fun acc a ->
-              acc
-              + if a.a_prefill > 0 then
-                  Bucketing.bucket config.bucketing a.a_prefill
-                else 1)
-            0 r.sl_act
-        else Bucketing.bucket config.bucketing tokens
-      in
-      actual_tokens := !actual_tokens + tokens;
-      padded_tokens := !padded_tokens + btokens;
-      (* Program lookup ladder: replica cache, then the fleet-shared
-         warm store (stall-free if its background compile finished by
-         [now]), then an on-path compile that stalls this step — and
-         publishes the program fleet-wide, so no other replica ever
-         compiles this shape again. *)
-      let stall = ref 0. in
-      (* Coalesced batches launch the *bucket's* polymerized program per
-         member — k same-signature prefills reuse one compiled program
-         whatever k is (the runtime glues k micro-kernel instances), so
-         the compile key is the bucket, never the k x bucket product.
-         Uncoalesced batches compile for the bucket of the mixed sum,
-         like the baseline scheduler. *)
-      let launch_shapes =
-        if config.coalesce then begin
-          let prefills = List.filter (fun a -> a.a_prefill > 0) r.sl_act in
-          let decodes = List.length r.sl_act - List.length prefills in
-          let buckets =
-            List.sort_uniq compare
-              (List.map
-                 (fun a -> Bucketing.bucket config.bucketing a.a_prefill)
-                 prefills)
-          in
-          List.concat_map
-            (fun b -> register_warm_shapes b (engine.Sch.step_shapes ~tokens:b))
-            buckets
-          @ (if decodes > 0 then
-               let db = Bucketing.bucket config.bucketing decodes in
-               register_warm_shapes db (engine.Sch.step_shapes ~tokens:db)
-             else [])
-        end
-        else register_warm_shapes btokens (engine.Sch.step_shapes ~tokens:btokens)
-      in
-      List.iter
-        (fun (shape, launches) ->
-          for _ = 1 to launches do
-            match Shape_cache.find r.sl_cache shape with
-            | Some () -> ()
-            | None -> (
-              let warm_ready =
-                match warm_store with
-                | Some ws -> (
-                  match Shape_cache.find ws shape with
-                  | Some ready when ready <= now -> true
-                  | _ -> false)
-                | None -> false
-              in
-              if warm_ready then begin
-                incr warm_hits;
-                Tm.Metrics.incr m_warm_hits;
-                Shape_cache.add r.sl_cache shape ()
-              end
-              else begin
-                let c = engine.Sch.compile_seconds shape in
-                stall := !stall +. c;
-                Shape_cache.add r.sl_cache shape ();
-                match warm_store with
-                | Some ws ->
-                  warm_now := now;
-                  Shape_cache.add ws shape (now +. !stall)
-                | None -> ()
-              end)
-          done)
-        launch_shapes;
-      let step_idx = r.sl_step in
-      r.sl_step <- r.sl_step + 1;
-      let slowdown = Plan.step_slowdown faults ~replica:r.sl_idx ~step:step_idx in
-      if slowdown > 1. then incr injected;
-      let dt =
-        (engine.Sch.step_seconds ~tokens:btokens ~kv_tokens +. !stall)
-        *. slowdown
-      in
-      stall_total := !stall_total +. !stall;
-      Tm.Metrics.incr m_steps;
-      let fin = now +. dt in
-      if Plan.step_fails faults ~replica:r.sl_idx ~step:step_idx then begin
-        (* Transient step fault: device time elapses, the step's work is
-           lost, and the batch bounces back to its lanes for a fresh
-           attempt (progress restarts, like a crash). *)
-        incr injected;
-        requeues := !requeues + List.length r.sl_act;
-        List.iter (fun a -> Wfq.push_front q a.a_tg) (List.rev r.sl_act);
-        r.sl_act <- []
-      end
-      else
-        r.sl_act <-
-          List.filter
-            (fun a ->
-              if a.a_prefill > 0 then begin
-                a.a_kv <- a.a_prefill;
-                a.a_prefill <- 0;
-                true
-              end
-              else begin
-                a.a_kv <- a.a_kv + 1;
-                a.a_remaining <- a.a_remaining - 1;
-                if Float.is_nan a.a_first then a.a_first <- fin;
-                if a.a_remaining = 0 then begin
-                  let c =
-                    {
-                      Sch.request = a.a_tg.Tenant.req;
-                      first_token = a.a_first;
-                      finish = fin;
-                      replica = r.sl_idx;
-                    }
-                  in
-                  completed := c :: !completed;
-                  incr resolved;
-                  if slo_met c then incr met_count;
-                  Tm.Metrics.incr m_completed;
-                  false
-                end
-                else true
-              end)
-            r.sl_act;
-      r.sl_clock <- fin;
-      makespan := Float.max !makespan fin;
-      incr steps
-    end
-  in
-  let rec loop () =
-    let best = ref None in
-    let consider time prio payload =
-      match !best with
-      | Some (bt, bp, _) when bt < time || (bt = time && bp <= prio) -> ()
-      | _ -> best := Some (time, prio, payload)
-    in
-    (match !crashes_left with
-    | (t, i) :: _ -> consider t prio_crash (`Crash i)
-    | [] -> ());
-    (match !pending with
-    | tg :: _ -> consider tg.Tenant.req.Request.arrival prio_arrival `Arrival
-    | [] -> ());
-    if work_remains () then begin
-      (match config.warm with
-      | Some w -> consider !next_refresh prio_refresh (`Refresh w)
-      | None -> ());
-      match config.autoscale with
-      | Some a -> consider !next_tick prio_scale (`Tick a)
-      | None -> ()
-    end;
-    Array.iter
-      (fun r ->
-        match slot_next_time r with
-        | Some t -> consider t prio_step (`Step r)
-        | None -> ())
-      slots;
-    match !best with
-    | None -> ()
-    | Some (t, _, payload) ->
-      (match payload with
-      | `Crash i ->
-        crashes_left := List.tl !crashes_left;
-        do_crash i ~now:t
-      | `Arrival ->
-        let tg = List.hd !pending in
-        pending := List.tl !pending;
-        let admitted =
-          match limiter with
-          | Some l -> Ratelimit.admit l ~now:t tg
-          | None -> true
-        in
-        if not admitted then begin
-          (* Shed at the door, before the WFQ and before the learner —
-             rate-limited traffic must not train the warm store. *)
-          rate_limited := !rate_limited @ [ tg.Tenant.req ];
-          incr resolved
-        end
-        else begin
-          (match learner with
-          | Some l ->
-            Learner.observe l ~now:t
-              ~tenant:tg.Tenant.tenant.Tenant.tenant_id
-              ~signature:(signature tg)
-              ~weight:
-                (float_of_int (Tenant.weight tg.Tenant.tenant.Tenant.tier))
-          | None -> ());
-          Wfq.push q tg
-        end
-      | `Refresh w ->
-        do_refresh w ~now:t;
-        next_refresh := !next_refresh +. w.warm_interval
-      | `Tick a ->
-        do_tick a ~now:t;
-        next_tick := !next_tick +. a.Autoscaler.interval
-      | `Step r -> do_step r ~now:t);
-      loop ()
-  in
-  loop ();
+  L.run k
+    ?learn:
+      (Option.map
+         (fun (_, l) ~now (tg : Tenant.tagged) ->
+           (* Only admitted traffic trains the warm store. *)
+           Learner.observe l ~now ~tenant:tg.Tenant.tenant.Tenant.tenant_id
+             ~signature:(L.signature k tg)
+             ~weight:
+               (float_of_int (Tenant.weight tg.Tenant.tenant.Tenant.tier)))
+         warm)
+    ?affinity:(if config.coalesce then Some affinity else None)
+    ?refresh:
+      (Option.map
+         (fun (w, l) ->
+           L.periodic k ~interval:w.warm_interval (refresh w l c.L.c_store))
+         warm)
+    ?tick:
+      (Option.map
+         (fun a -> L.periodic k ~interval:a.Autoscaler.interval (tick a))
+         config.autoscale);
+  let actives = active_slots () in
   let replica_seconds =
     !replica_acc
     +. List.fold_left
-         (fun acc r -> acc +. Float.max 0. (!makespan -. r.sl_spawned))
-         0. (active_slots ())
+         (fun acc s ->
+           acc +. Float.max 0. (k.L.makespan -. spawned.(s.L.sl_idx)))
+         0. actives
   in
-  Tm.Metrics.gauge_add g_replicas
-    (-.float_of_int (List.length (active_slots ())));
-  let tenant_of = Tenant.lookup trace in
-  let tiers =
-    List.map
-      (fun tier ->
-        let of_tier id = (tenant_of id).Tenant.tier = tier in
-        let reqs =
-          List.length
-            (List.filter
-               (fun (tg : Tenant.tagged) ->
-                 tg.Tenant.tenant.Tenant.tier = tier)
-               trace)
-        in
-        let comps =
-          List.filter
-            (fun (c : Sch.completed) -> of_tier c.Sch.request.Request.id)
-            !completed
-        in
-        let met = List.length (List.filter slo_met comps) in
-        {
-          tm_tier = tier;
-          tm_requests = reqs;
-          tm_completed = List.length comps;
-          tm_slo_met = met;
-          tm_attainment =
-            (if reqs = 0 then 1.
-             else float_of_int met /. float_of_int reqs);
-        })
-      Tenant.tiers
-  in
+  Tm.Metrics.gauge_add g_replicas (-.float_of_int (List.length actives));
+  let completed = List.rev k.L.completed in
+  let dropped = List.rev k.L.dropped in
+  (* The kernel keeps the counts; publish this run's totals. *)
+  Tm.Metrics.add m_steps c.L.c_steps;
+  Tm.Metrics.add m_completed (List.length completed);
+  Tm.Metrics.add m_dropped (List.length dropped);
+  Tm.Metrics.add m_warm_hits c.L.c_store_hits;
+  Tm.Metrics.add m_crashes k.L.crashes;
   {
-    completed = List.rev !completed;
-    dropped = !dropped;
-    rate_limited = !rate_limited;
-    steps = !steps;
-    makespan = !makespan;
-    compile_stall_seconds = !stall_total;
-    actual_tokens = !actual_tokens;
-    padded_tokens = !padded_tokens;
-    cache =
-      (Array.to_list slots
-      |> List.filter (fun r -> r.sl_active)
-      |> List.map (fun r -> Shape_cache.stats r.sl_cache))
-      @ List.rev !retired_caches;
-    warm_stats = Option.map Shape_cache.stats warm_store;
-    warm_hits = !warm_hits;
+    completed;
+    dropped;
+    rate_limited = List.rev k.L.rate_limited;
+    steps = c.L.c_steps;
+    makespan = k.L.makespan;
+    compile_stall_seconds = k.L.stall_total;
+    actual_tokens = k.L.actual_tokens;
+    padded_tokens = k.L.padded_tokens;
+    cache = L.class_caches c;
+    warm_stats =
+      Option.map (fun _ -> Shape_cache.stats c.L.c_store) config.warm;
+    warm_hits = c.L.c_store_hits;
     warm_compiles = !warm_compiles;
     warm_background_seconds = !warm_bg_seconds;
-    coalesced_groups = !coalesced_groups;
-    queue_depth_sum = !qsum;
-    queue_samples = !qsamples;
-    crashes = !crash_count;
-    injected_faults = !injected;
-    requeues = !requeues;
+    coalesced_groups = k.L.coalesced_groups;
+    queue_depth_sum = k.L.qsum;
+    queue_samples = k.L.qsamples;
+    crashes = k.L.crashes;
+    injected_faults = k.L.injected;
+    requeues = k.L.requeues;
     scale_ups = !scale_ups;
     scale_downs = !scale_downs;
     peak_replicas = !peak;
     replica_seconds;
-    lanes = Wfq.stats q;
-    tiers;
+    lanes = Wfq.stats c.L.c_q;
+    tiers = tier_metrics trace completed;
   }

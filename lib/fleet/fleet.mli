@@ -95,15 +95,25 @@ type outcome = {
 val slo_met : Mikpoly_serve.Scheduler.completed -> bool
 (** Both the TTFT and the end-to-end budget were met. *)
 
+val tier_metrics :
+  Tenant.tagged list ->
+  Mikpoly_serve.Scheduler.completed list ->
+  tier_metrics list
+(** Per-tier request, completion and SLO-met counts of a run over
+    [trace], in {!Tenant.tiers} order — one pass over each list. *)
+
 val run :
   ?faults:Mikpoly_fault.Plan.t ->
   config ->
   Mikpoly_serve.Scheduler.engine ->
   Tenant.tagged list ->
   outcome
-(** Serve a tagged multi-tenant trace to completion. Deterministic:
-    event ties break crash < arrival < warm-refresh < autoscale-tick <
-    replica step, then lowest replica index. *)
+(** Serve a tagged multi-tenant trace to completion, as a one-class run
+    of the shared {!Event_loop} kernel. Deterministic: event ties break
+    crash < arrival < hedge < warm-refresh < autoscale-tick < replica
+    step, then lowest replica index (a fleet never hedges). Device-class
+    outage and brown-out windows in [faults] apply to class 0, i.e. the
+    whole fleet. *)
 
 val to_scheduler_outcome : outcome -> Mikpoly_serve.Scheduler.outcome
 (** Project onto the single-tenant outcome record so the

@@ -57,7 +57,10 @@ let validate config =
   | Some rl -> Ratelimit.validate rl
   | None -> ()
 
-type status = Completed | Dropped | Rate_limited
+type status = Mikpoly_fleet.Event_loop.status =
+  | Completed
+  | Dropped
+  | Rate_limited
 
 let status_name = function
   | Completed -> "completed"
@@ -115,765 +118,275 @@ type outcome = {
   o_conserved : bool;
 }
 
-type active = {
-  a_tg : Tenant.tagged;
-  mutable a_remaining : int;
-  mutable a_kv : int;
-  mutable a_prefill : int;
-  mutable a_first : float;
+module L = Mikpoly_fleet.Event_loop
+
+(* Per-class state of the placement, health and hedge planes; the event
+   loop's own class record carries the queue, slots and program store.
+   A class store is never shared fleet-wide: the other device class has
+   a different fingerprint and different micro-kernels. *)
+type plane = {
+  p_backend : Backend.t;
+  p_health : Health.t;
+  mutable p_routed : int;
+  mutable p_rr_out : int;
+  mutable p_rr_in : int;
+  mutable p_hedges_in : int;
+  mutable p_forced : int;
+  mutable p_drains : int;
 }
-
-type slot = {
-  sl_global : int;  (* fleet-wide replica index: the fault-draw key *)
-  mutable sl_clock : float;
-  mutable sl_act : active list;
-  mutable sl_cache : unit Shape_cache.t;
-  mutable sl_step : int;
-  mutable sl_down_until : float;
-}
-
-type cls = {
-  c_idx : int;
-  c_backend : Backend.t;
-  c_slots : slot array;
-  mutable c_q : Wfq.t;
-  c_health : Health.t;
-  c_store : float Shape_cache.t;
-      (* class-shared program store: shape -> event-clock ready-at.
-         The per-class analogue of the fleet's warm store — programs
-         published by one replica's on-path compile become stall-free
-         for its siblings once the compile finishes. *)
-  mutable c_retired : Shape_cache.stats list;
-  mutable c_routed : int;
-  mutable c_completed : int;
-  mutable c_steps : int;
-  mutable c_stall : float;
-  mutable c_service : float;
-  mutable c_requeues : int;
-  mutable c_rr_out : int;
-  mutable c_rr_in : int;
-  mutable c_hedges_in : int;
-  mutable c_forced : int;
-  mutable c_drains : int;
-  mutable c_brownout_steps : int;
-}
-
-(* Event kinds in tie priority order: a crash preempts the arrival it
-   races, arrivals land before hedges fire, and replica steps go last
-   so they see the freshest queues — fixed, so the interleaving is
-   deterministic whatever [--jobs] is. *)
-let prio_crash = 0
-
-let prio_arrival = 1
-
-let prio_hedge = 2
-
-let prio_step = 4
 
 let run ?(faults = Plan.none) config trace =
   validate config;
-  let classes =
-    let next_global = ref 0 in
-    Array.of_list
-      (List.mapi
-         (fun i (b : Backend.t) ->
-           let slots =
-             Array.init b.Backend.bk_replicas (fun _ ->
-                 let g = !next_global in
-                 incr next_global;
-                 {
-                   sl_global = g;
-                   sl_clock = 0.;
-                   sl_act = [];
-                   sl_cache = Shape_cache.create ~capacity:config.cache_capacity;
-                   sl_step = 0;
-                   sl_down_until = 0.;
-                 })
-           in
-           {
-             c_idx = i;
-             c_backend = b;
-             c_slots = slots;
-             c_q = Wfq.create ();
-             c_health = Health.create config.health;
-             c_store = Shape_cache.create ~capacity:config.cache_capacity;
-             c_retired = [];
-             c_routed = 0;
-             c_completed = 0;
-             c_steps = 0;
-             c_stall = 0.;
-             c_service = 0.;
-             c_requeues = 0;
-             c_rr_out = 0;
-             c_rr_in = 0;
-             c_hedges_in = 0;
-             c_forced = 0;
-             c_drains = 0;
-             c_brownout_steps = 0;
-           })
-         config.backends)
+  let k =
+    L.create ~faults ?ratelimit:config.ratelimit ~batcher:config.batcher
+      ~bucketing:config.bucketing ~cache_capacity:config.cache_capacity
+      ~coalesce:config.coalesce ~classes:
+        (List.map
+           (fun (b : Backend.t) -> (b.Backend.bk_engine, b.Backend.bk_replicas))
+           config.backends)
+      trace
   in
-  let n_classes = Array.length classes in
-  let pending =
-    ref
-      (List.stable_sort
-         (fun (a : Tenant.tagged) (b : Tenant.tagged) ->
-           Request.compare_arrival a.Tenant.req b.Tenant.req)
-         trace)
+  let classes = k.L.classes in
+  let planes =
+    Array.map
+      (fun b ->
+        {
+          p_backend = b;
+          p_health = Health.create config.health;
+          p_routed = 0;
+          p_rr_out = 0;
+          p_rr_in = 0;
+          p_hedges_in = 0;
+          p_forced = 0;
+          p_drains = 0;
+        })
+      (Array.of_list config.backends)
   in
-  let limiter =
-    match config.ratelimit with
-    | Some base ->
-      Some
-        (Ratelimit.create
-           ~rate_for:(fun t -> Ratelimit.for_tier ~base t.Tenant.tier)
-           ())
-    | None -> None
-  in
-  (* The request ledger: exactly one terminal status per trace request,
-     however many copies hedging and trip drains put in flight.
-     [copies] counts live copies (queued or running); [running] marks
-     the admitted copy so a sibling reaching a grant is discarded;
-     [statuses] is write-once. *)
-  let copies : (int, int) Hashtbl.t = Hashtbl.create 256 in
-  let running : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let hedged : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let statuses : (int, status) Hashtbl.t = Hashtbl.create 256 in
-  let completed = ref [] in
-  let dropped = ref [] in
-  let rate_limited = ref [] in
-  let steps = ref 0 in
-  let stall_total = ref 0. in
-  let actual_tokens = ref 0 in
-  let padded_tokens = ref 0 in
-  let qsum = ref 0 in
-  let qsamples = ref 0 in
-  let makespan = ref 0. in
-  let crash_count = ref 0 in
-  let injected = ref 0 in
-  let requeues = ref 0 in
-  let reroutes = ref 0 in
-  let hedges = ref 0 in
-  let hedge_cancels = ref 0 in
-  let resolved = ref 0 in
-  let crashes_left = ref faults.Plan.crashes in
-  let floor_now = ref 0. in
-  let signature tg =
-    Bucketing.bucket config.bucketing tg.Tenant.req.Request.prompt_len
-  in
-  let inflight c =
-    Array.fold_left (fun acc s -> acc + List.length s.sl_act) 0 c.c_slots
-  in
-  let queued_total () =
-    Array.fold_left (fun acc c -> acc + Wfq.length c.c_q) 0 classes
-  in
-  let set_status (req : Request.t) st =
-    if not (Hashtbl.mem statuses req.Request.id) then begin
-      Hashtbl.replace statuses req.Request.id st;
-      incr resolved;
-      match st with
-      | Completed -> ()
-      | Dropped -> dropped := !dropped @ [ req ]
-      | Rate_limited -> rate_limited := !rate_limited @ [ req ]
-    end
-  in
-  let drop_copy (req : Request.t) =
-    let id = req.Request.id in
-    let n = (match Hashtbl.find_opt copies id with Some n -> n | None -> 1) - 1 in
-    Hashtbl.replace copies id n;
-    n
-  in
+  let plane_of (c : L.cls) = planes.(c.L.c_idx) in
   (* Snapshot one class for the router: predicted service for this
      bucketed shape, recompile-on-arrival cost for the shapes missing
      from the class store, live backlog, and the health verdict (the
      no-failover arm routes health-blind — its whole point). *)
-  let view_of ~now ~btokens c =
-    let engine = c.c_backend.Backend.bk_engine in
+  let view_of ~now ~btokens (c : L.cls) =
+    let p = plane_of c in
+    let engine = c.L.c_engine in
     let service = engine.Sch.step_seconds ~tokens:btokens ~kv_tokens:0 in
     let cold =
       List.fold_left
         (fun acc ((shape : Shape_cache.key), _) ->
-          if Shape_cache.mem c.c_store shape then acc
+          if Shape_cache.mem c.L.c_store shape then acc
           else acc +. engine.Sch.compile_seconds shape)
         0.
         (engine.Sch.step_shapes ~tokens:btokens)
     in
-    let service_of tg' =
-      engine.Sch.step_seconds ~tokens:(signature tg') ~kv_tokens:0
+    let service_of tg =
+      engine.Sch.step_seconds ~tokens:(L.signature k tg) ~kv_tokens:0
     in
     let backlog =
       List.fold_left
-        (fun acc tg' -> acc +. service_of tg')
-        0. (Wfq.to_list c.c_q)
+        (fun acc tg -> acc +. service_of tg)
+        0. (Wfq.to_list c.L.c_q)
       |> fun q ->
       Array.fold_left
         (fun acc s ->
-          List.fold_left (fun acc a -> acc +. service_of a.a_tg) acc s.sl_act)
-        q c.c_slots
+          List.fold_left
+            (fun acc a -> acc +. service_of a.L.a_tg)
+            acc s.L.sl_act)
+        q c.L.c_slots
     in
     {
-      Router.cv_class = c.c_idx;
+      Router.cv_class = c.L.c_idx;
       cv_level =
-        (if config.failover then Health.level c.c_health else Health.Healthy);
-      cv_probe_ready = config.failover && Health.probe_ready c.c_health ~now;
-      cv_replicas = c.c_backend.Backend.bk_replicas;
-      cv_queue = Wfq.length c.c_q;
-      cv_inflight = inflight c;
+        (if config.failover then Health.level p.p_health else Health.Healthy);
+      cv_probe_ready = config.failover && Health.probe_ready p.p_health ~now;
+      cv_replicas = p.p_backend.Backend.bk_replicas;
+      cv_queue = Wfq.length c.L.c_q;
+      cv_inflight = L.inflight c;
       cv_service = service;
       cv_cold_compile = cold;
       cv_backlog = backlog;
     }
   in
-  let place ~now ~probe ~forced c tg =
-    if probe then ignore (Health.admit_probe c.c_health ~now);
-    if forced then c.c_forced <- c.c_forced + 1;
-    c.c_routed <- c.c_routed + 1;
-    Tm.Metrics.incr m_routed;
-    Wfq.push c.c_q tg
-  in
-  let do_arrival tg ~now =
-    let admitted =
-      match limiter with Some l -> Ratelimit.admit l ~now tg | None -> true
+  let route ~now ~exclude (tg : Tenant.tagged) =
+    let b = L.signature k tg in
+    let views =
+      Array.to_list classes
+      |> List.filter (fun (c : L.cls) -> Some c.L.c_idx <> exclude)
+      |> List.map (view_of ~now ~btokens:b)
     in
-    if not admitted then
-      (* Shed at the door: never reaches a queue, a router or a cache. *)
-      set_status tg.Tenant.req Rate_limited
-    else begin
-      Hashtbl.replace copies tg.Tenant.req.Request.id 1;
-      let b = signature tg in
-      let views =
-        Array.to_list classes |> List.map (fun c -> view_of ~now ~btokens:b c)
-      in
-      let d =
-        Router.route ~degraded_max_tokens:config.degraded_max_tokens
-          ~ttft_budget:tg.Tenant.req.Request.slo.Request.ttft ~tokens:b views
-      in
-      place ~now ~probe:d.Router.d_probe ~forced:d.Router.d_forced
-        classes.(d.Router.d_class) tg
-    end
+    Router.route ~degraded_max_tokens:config.degraded_max_tokens
+      ~ttft_budget:tg.Tenant.req.Request.slo.Request.ttft ~tokens:b views
+  in
+  let place ~now (d : Router.decision) =
+    let c = classes.(d.Router.d_class) in
+    let p = plane_of c in
+    if d.Router.d_probe then ignore (Health.admit_probe p.p_health ~now);
+    if d.Router.d_forced then p.p_forced <- p.p_forced + 1;
+    p.p_routed <- p.p_routed + 1;
+    Tm.Metrics.incr m_routed;
+    c
   in
   (* Hedged dispatch: a gold-tier request still queued at
      [arrival + slack · TTFT-budget] gets a clone on the best other
-     class; the first copy to reach an admission grant wins. *)
-  let hedge_plane =
-    match config.hedge with
-    | Some h when config.failover && n_classes > 1 -> Some h
-    | _ -> None
+     class; the first copy to reach an admission grant wins. The hedge
+     instant never precedes an event already handled. *)
+  let hedged : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+  let floor_now = ref 0. in
+  let hedge_next h =
+    let best = ref None in
+    Array.iter
+      (fun (c : L.cls) ->
+        List.iter
+          (fun (tg : Tenant.tagged) ->
+            let req = tg.Tenant.req in
+            if
+              List.mem tg.Tenant.tenant.Tenant.tier h.hedge_tiers
+              && (not (Hashtbl.mem hedged req.Request.id))
+              && not (Hashtbl.mem k.L.statuses req.Request.id)
+            then begin
+              let t =
+                Float.max !floor_now
+                  (req.Request.arrival
+                  +. (h.hedge_slack *. req.Request.slo.Request.ttft))
+              in
+              match !best with
+              | Some (bt, _, btg)
+                when bt < t
+                     || (bt = t && btg.Tenant.req.Request.id <= req.Request.id)
+                ->
+                ()
+              | _ -> best := Some (t, c, tg)
+            end)
+          (Wfq.to_list c.L.c_q))
+      classes;
+    !best
   in
-  let hedge_next () =
-    match hedge_plane with
-    | None -> None
-    | Some h ->
-      let best = ref None in
-      Array.iter
-        (fun c ->
-          List.iter
-            (fun (tg : Tenant.tagged) ->
-              let req = tg.Tenant.req in
-              if
-                List.mem tg.Tenant.tenant.Tenant.tier h.hedge_tiers
-                && (not (Hashtbl.mem hedged req.Request.id))
-                && not (Hashtbl.mem statuses req.Request.id)
-              then begin
-                let t =
-                  Float.max !floor_now
-                    (req.Request.arrival
-                    +. (h.hedge_slack *. req.Request.slo.Request.ttft))
-                in
-                match !best with
-                | Some (bt, _, btg)
-                  when bt < t
-                       || (bt = t && btg.Tenant.req.Request.id <= req.Request.id)
-                  ->
-                  ()
-                | _ -> best := Some (t, c, tg)
-              end)
-            (Wfq.to_list c.c_q))
-        classes;
-      !best
-  in
-  let do_hedge c tg ~now =
+  let hedge_to (c : L.cls) (tg : Tenant.tagged) ~now =
     let req = tg.Tenant.req in
     Hashtbl.replace hedged req.Request.id ();
-    let b = signature tg in
-    let views =
-      Array.to_list classes
-      |> List.filter (fun o -> o.c_idx <> c.c_idx)
-      |> List.map (fun o -> view_of ~now ~btokens:b o)
-    in
-    let d =
-      Router.route ~degraded_max_tokens:config.degraded_max_tokens
-        ~ttft_budget:req.Request.slo.Request.ttft ~tokens:b views
-    in
+    let d = route ~now ~exclude:(Some c.L.c_idx) tg in
     if not d.Router.d_forced then begin
       (* Only hedge onto a class willing to take the shape — a forced
          fallback would just double the load on a sick fleet. *)
-      let tgt = classes.(d.Router.d_class) in
-      Hashtbl.replace copies req.Request.id
-        ((match Hashtbl.find_opt copies req.Request.id with
-         | Some n -> n
-         | None -> 1)
-        + 1);
-      tgt.c_hedges_in <- tgt.c_hedges_in + 1;
-      incr hedges;
+      let tgt = place ~now d in
+      L.add_copy k req.Request.id;
+      (plane_of tgt).p_hedges_in <- (plane_of tgt).p_hedges_in + 1;
       Tm.Metrics.incr m_hedges;
-      place ~now ~probe:d.Router.d_probe ~forced:false tgt tg
+      Wfq.push tgt.L.c_q tg
     end
+  in
+  let hedge =
+    match config.hedge with
+    | Some h when config.failover && Array.length classes > 1 ->
+      let found = ref None in
+      Some
+        {
+          L.next =
+            (fun () ->
+              floor_now := Float.max !floor_now k.L.now;
+              found := hedge_next h;
+              Option.map (fun (t, _, _) -> t) !found);
+          fire =
+            (fun ~now ->
+              Option.iter (fun (_, c, tg) -> hedge_to c tg ~now) !found);
+        }
+    | _ -> None
   in
   (* Breaker trip: drain the whole class — every replica's in-flight
      batch back through [push_front] (they were already admitted once),
      then the waiting queue in WFQ order — onto the least-loaded
      surviving class. Recompile-on-arrival is charged there naturally,
      as ordinary class-store misses on the event clock. *)
-  let drain c ~now:_ =
-    c.c_drains <- c.c_drains + 1;
+  let drain (c : L.cls) =
+    let p = plane_of c in
+    p.p_drains <- p.p_drains + 1;
     Tm.Metrics.incr m_trips;
     let target =
-      let best = ref None in
-      Array.iter
-        (fun o ->
-          if o.c_idx <> c.c_idx then begin
+      Array.fold_left
+        (fun best (o : L.cls) ->
+          if o.L.c_idx = c.L.c_idx then best
+          else
             let evicted =
-              config.failover && Health.level o.c_health = Health.Evicted
+              config.failover
+              && Health.level (plane_of o).p_health = Health.Evicted
             in
-            let load = Wfq.length o.c_q + inflight o in
-            match !best with
-            | Some (bev, bl, _)
-              when (bev, bl) <= (evicted, load) ->
-              ()
-            | _ -> best := Some (evicted, load, o)
-          end)
-        classes;
-      match !best with Some (_, _, o) -> Some o | None -> None
+            let load = Wfq.length o.L.c_q + L.inflight o in
+            match best with
+            | Some (bev, bl, _) when (bev, bl) <= (evicted, load) -> best
+            | _ -> Some (evicted, load, o))
+        None classes
     in
     match target with
     | None ->
       (* Single-class fleet: nothing to fail over to — bounce in-flight
          work back to the class's own lanes. *)
-      Array.iter
-        (fun s ->
-          c.c_requeues <- c.c_requeues + List.length s.sl_act;
-          requeues := !requeues + List.length s.sl_act;
-          List.iter
-            (fun a ->
-              Hashtbl.remove running a.a_tg.Tenant.req.Request.id;
-              Wfq.push_front c.c_q a.a_tg)
-            (List.rev s.sl_act);
-          s.sl_act <- [])
-        c.c_slots
-    | Some tgt ->
-      Array.iter
-        (fun s ->
-          let n = List.length s.sl_act in
-          c.c_rr_out <- c.c_rr_out + n;
-          tgt.c_rr_in <- tgt.c_rr_in + n;
-          reroutes := !reroutes + n;
-          Tm.Metrics.add m_reroutes n;
-          List.iter
-            (fun a ->
-              Hashtbl.remove running a.a_tg.Tenant.req.Request.id;
-              Wfq.push_front tgt.c_q a.a_tg)
-            (List.rev s.sl_act);
-          s.sl_act <- [])
-        c.c_slots;
-      let waiting = Wfq.to_list c.c_q in
-      c.c_q <- Wfq.create ();
-      let n = List.length waiting in
-      c.c_rr_out <- c.c_rr_out + n;
-      tgt.c_rr_in <- tgt.c_rr_in + n;
-      reroutes := !reroutes + n;
-      Tm.Metrics.add m_reroutes n;
-      List.iter (fun tg -> Wfq.push tgt.c_q tg) waiting
+      Array.iter (L.requeue k c) c.L.c_slots
+    | Some (_, _, tgt) ->
+      let moved n =
+        p.p_rr_out <- p.p_rr_out + n;
+        (plane_of tgt).p_rr_in <- (plane_of tgt).p_rr_in + n;
+        Tm.Metrics.add m_reroutes n
+      in
+      Array.iter (fun s -> moved (L.bounce k s ~into:tgt.L.c_q)) c.L.c_slots;
+      let waiting = Wfq.to_list c.L.c_q in
+      c.L.c_q <- Wfq.create ();
+      moved (List.length waiting);
+      List.iter (Wfq.push tgt.L.c_q) waiting
   in
-  let do_crash target ~now =
-    let all = Array.to_list classes |> List.concat_map (fun c ->
-        Array.to_list c.c_slots |> List.map (fun s -> (c, s)))
-    in
-    match all with
-    | [] -> ()
-    | _ ->
-      let c, s = List.nth all (target mod List.length all) in
-      incr crash_count;
-      incr injected;
-      c.c_requeues <- c.c_requeues + List.length s.sl_act;
-      requeues := !requeues + List.length s.sl_act;
-      List.iter
-        (fun a ->
-          Hashtbl.remove running a.a_tg.Tenant.req.Request.id;
-          Wfq.push_front c.c_q a.a_tg)
-        (List.rev s.sl_act);
-      s.sl_act <- [];
-      c.c_retired <- Shape_cache.stats s.sl_cache :: c.c_retired;
-      s.sl_cache <- Shape_cache.create ~capacity:config.cache_capacity;
-      s.sl_down_until <- now +. faults.Plan.restart_delay;
-      s.sl_clock <- Float.max s.sl_clock s.sl_down_until;
-      makespan := Float.max !makespan s.sl_down_until
-  in
-  let aged_time c in_flight tg =
-    let arrival = tg.Tenant.req.Request.arrival in
-    match config.batcher with
-    | Batcher.Greedy _ | Batcher.Slo_aware _ -> arrival
-    | Batcher.Timeout { window; max_batch } ->
-      if Wfq.length c.c_q + in_flight >= max_batch then arrival
-      else arrival +. window
-  in
-  let slot_next_time c s =
-    let base = Float.max s.sl_clock s.sl_down_until in
-    if s.sl_act <> [] then Some base
-    else if Wfq.is_empty c.c_q then None
-    else begin
-      let earliest =
-        List.fold_left
-          (fun acc tg -> Float.min acc (aged_time c 0 tg))
-          infinity (Wfq.to_list c.c_q)
-      in
-      Some (Float.max base earliest)
-    end
-  in
-  let work_remains () =
-    !pending <> []
-    || Array.exists
-         (fun c ->
-           (not (Wfq.is_empty c.c_q))
-           || Array.exists (fun s -> s.sl_act <> []) c.c_slots)
-         classes
-  in
-  let do_step c s ~now =
-    let in_flight = List.length s.sl_act in
-    let cap = Batcher.max_batch config.batcher - in_flight in
-    let offer =
-      if cap <= 0 || Wfq.is_empty c.c_q then []
-      else
-        Wfq.take c.c_q ~max:cap
-          ~eligible:(fun tg -> aged_time c in_flight tg <= now)
-          ~group:(fun leader tg ->
-            (not config.coalesce) || signature leader = signature tg)
-          ()
-    in
-    (* Cancel-at-grant: a copy whose sibling is already running (or
-       whose request already resolved) is discarded here, before the
-       batcher ever sees it — the hedge's loser, or work drained twice.
-       A duplicate inside one offer keeps only its first copy. *)
-    let seen = Hashtbl.create 8 in
-    let fresh, stale =
-      List.partition
-        (fun (tg : Tenant.tagged) ->
-          let id = tg.Tenant.req.Request.id in
-          let dup = Hashtbl.mem seen id in
-          Hashtbl.replace seen id ();
-          (not dup)
-          && (not (Hashtbl.mem running id))
-          && not (Hashtbl.mem statuses id))
-        offer
-    in
-    List.iter
-      (fun (tg : Tenant.tagged) ->
-        ignore (drop_copy tg.Tenant.req);
-        incr hedge_cancels)
-      stale;
-    let tagged_of =
-      let table = Hashtbl.create 8 in
-      List.iter
-        (fun tg -> Hashtbl.replace table tg.Tenant.req.Request.id tg)
-        fresh;
-      fun (req : Request.t) -> Hashtbl.find table req.Request.id
-    in
-    let d =
-      Batcher.admit config.batcher ~now ~in_flight
-        ~waiting:(List.map (fun tg -> tg.Tenant.req) fresh)
-    in
-    List.iter
-      (fun req -> Wfq.push_front c.c_q (tagged_of req))
-      (List.rev d.Batcher.deferred);
-    List.iter
-      (fun (req : Request.t) ->
-        (* The batcher shed one copy; the request only resolves as
-           dropped when no sibling copy remains in flight. *)
-        if drop_copy req <= 0 then set_status req Dropped
-        else incr hedge_cancels)
-      d.Batcher.dropped;
-    List.iter
-      (fun (req : Request.t) -> Hashtbl.replace running req.Request.id ())
-      d.Batcher.admitted;
-    s.sl_act <-
-      s.sl_act
-      @ List.map
-          (fun (req : Request.t) ->
-            {
-              a_tg = tagged_of req;
-              a_remaining = req.Request.output_len;
-              a_kv = 0;
-              a_prefill = req.Request.prompt_len;
-              a_first = nan;
-            })
-          d.Batcher.admitted;
-    if s.sl_act = [] then
-      s.sl_clock <- (if d.Batcher.dropped <> [] then now else now +. 1e-6)
-    else begin
-      incr qsamples;
-      qsum := !qsum + queued_total ();
-      let engine = c.c_backend.Backend.bk_engine in
-      let tokens =
-        List.fold_left
-          (fun acc a -> acc + if a.a_prefill > 0 then a.a_prefill else 1)
-          0 s.sl_act
-      in
-      let kv_tokens = List.fold_left (fun acc a -> acc + a.a_kv) 0 s.sl_act in
-      let btokens =
-        if config.coalesce then
-          List.fold_left
-            (fun acc a ->
-              acc
-              + if a.a_prefill > 0 then
-                  Bucketing.bucket config.bucketing a.a_prefill
-                else 1)
-            0 s.sl_act
-        else Bucketing.bucket config.bucketing tokens
-      in
-      actual_tokens := !actual_tokens + tokens;
-      padded_tokens := !padded_tokens + btokens;
-      (* Program lookup ladder: replica cache, then the class-shared
-         store (stall-free once its publishing compile finished), then
-         an on-path compile that stalls this step and publishes
-         class-wide — never fleet-wide: the other device class has a
-         different fingerprint and different micro-kernels. *)
-      let stall = ref 0. in
-      let launch_shapes =
-        if config.coalesce then begin
-          let prefills = List.filter (fun a -> a.a_prefill > 0) s.sl_act in
-          let decodes = List.length s.sl_act - List.length prefills in
-          let buckets =
-            List.sort_uniq compare
-              (List.map
-                 (fun a -> Bucketing.bucket config.bucketing a.a_prefill)
-                 prefills)
-          in
-          List.concat_map
-            (fun b -> engine.Sch.step_shapes ~tokens:b)
-            buckets
-          @ (if decodes > 0 then
-               engine.Sch.step_shapes
-                 ~tokens:(Bucketing.bucket config.bucketing decodes)
-             else [])
-        end
-        else engine.Sch.step_shapes ~tokens:btokens
-      in
-      List.iter
-        (fun ((shape : Shape_cache.key), launches) ->
-          for _ = 1 to launches do
-            match Shape_cache.find s.sl_cache shape with
-            | Some () -> ()
-            | None ->
-              let store_ready =
-                match Shape_cache.find c.c_store shape with
-                | Some ready when ready <= now -> true
-                | _ -> false
-              in
-              if store_ready then Shape_cache.add s.sl_cache shape ()
-              else begin
-                let cst = engine.Sch.compile_seconds shape in
-                stall := !stall +. cst;
-                Shape_cache.add s.sl_cache shape ();
-                Shape_cache.add c.c_store shape (now +. !stall)
-              end
-          done)
-        launch_shapes;
-      let step_idx = s.sl_step in
-      s.sl_step <- s.sl_step + 1;
-      let base_slow =
-        Plan.step_slowdown faults ~replica:s.sl_global ~step:step_idx
-      in
-      if base_slow > 1. then incr injected;
-      let cls_slow = Plan.class_slowdown faults ~cls:c.c_idx ~now in
-      if cls_slow > 1. then begin
-        incr injected;
-        c.c_brownout_steps <- c.c_brownout_steps + 1
-      end;
-      let slowdown = base_slow *. cls_slow in
-      let dt =
-        (engine.Sch.step_seconds ~tokens:btokens ~kv_tokens +. !stall)
-        *. slowdown
-      in
-      stall_total := !stall_total +. !stall;
-      c.c_stall <- c.c_stall +. !stall;
-      c.c_service <- c.c_service +. dt;
-      c.c_steps <- c.c_steps + 1;
-      let fin = now +. dt in
-      let down = Plan.class_down faults ~cls:c.c_idx ~now in
-      if down then incr injected;
-      let fails =
-        down || Plan.step_fails faults ~replica:s.sl_global ~step:step_idx
-      in
-      if fails && not down then incr injected;
-      (* Health sees every step, in both arms — the no-failover arm
-         records the same trips, it just never acts on them. *)
+  L.run k ?hedge
+    ~route:(fun ~now tg -> place ~now (route ~now ~exclude:None tg))
+    (* Health sees every step, in both arms — the no-failover arm records
+       the same trips, it just never acts on them. On the trip edge the
+       failed batch and everything else the class holds drains to the
+       surviving class. *)
+    ~health:(fun c ~now ~slowdown ~failed ->
       let verdict =
-        Health.observe c.c_health ~now:fin ~slowdown ~failed:fails
+        Health.observe (plane_of c).p_health ~now ~slowdown ~failed
       in
-      if fails then begin
-        if config.failover && verdict = `Tripped then
-          (* The trip edge: this replica's batch and everything else the
-             class holds drains to the surviving class. *)
-          drain c ~now:fin
-        else begin
-          c.c_requeues <- c.c_requeues + List.length s.sl_act;
-          requeues := !requeues + List.length s.sl_act;
-          List.iter
-            (fun a ->
-              Hashtbl.remove running a.a_tg.Tenant.req.Request.id;
-              Wfq.push_front c.c_q a.a_tg)
-            (List.rev s.sl_act)
-        end;
-        s.sl_act <- []
-      end
-      else
-        s.sl_act <-
-          List.filter
-            (fun a ->
-              if a.a_prefill > 0 then begin
-                a.a_kv <- a.a_prefill;
-                a.a_prefill <- 0;
-                true
-              end
-              else begin
-                a.a_kv <- a.a_kv + 1;
-                a.a_remaining <- a.a_remaining - 1;
-                if Float.is_nan a.a_first then a.a_first <- fin;
-                if a.a_remaining = 0 then begin
-                  let req = a.a_tg.Tenant.req in
-                  Hashtbl.remove running req.Request.id;
-                  ignore (drop_copy req);
-                  let comp =
-                    {
-                      Sch.request = req;
-                      first_token = a.a_first;
-                      finish = fin;
-                      replica = s.sl_global;
-                    }
-                  in
-                  completed := comp :: !completed;
-                  c.c_completed <- c.c_completed + 1;
-                  set_status req Completed;
-                  false
-                end
-                else true
-              end)
-            s.sl_act;
-      s.sl_clock <- fin;
-      makespan := Float.max !makespan fin;
-      incr steps
-    end
-  in
-  let rec loop () =
-    let best = ref None in
-    let consider time prio payload =
-      match !best with
-      | Some (bt, bp, _) when bt < time || (bt = time && bp <= prio) -> ()
-      | _ -> best := Some (time, prio, payload)
-    in
-    (match !crashes_left with
-    | (t, i) :: _ -> consider t prio_crash (`Crash i)
-    | [] -> ());
-    (match !pending with
-    | tg :: _ -> consider tg.Tenant.req.Request.arrival prio_arrival `Arrival
-    | [] -> ());
-    (match hedge_next () with
-    | Some (t, c, tg) -> consider t prio_hedge (`Hedge (c, tg))
-    | None -> ());
-    Array.iter
-      (fun c ->
-        Array.iter
-          (fun s ->
-            match slot_next_time c s with
-            | Some t -> consider t prio_step (`Step (c, s))
-            | None -> ())
-          c.c_slots)
-      classes;
-    match !best with
-    | None -> ()
-    | Some (t, _, payload) ->
-      floor_now := Float.max !floor_now t;
-      (match payload with
-      | `Crash i ->
-        crashes_left := List.tl !crashes_left;
-        do_crash i ~now:t
-      | `Arrival ->
-        let tg = List.hd !pending in
-        pending := List.tl !pending;
-        do_arrival tg ~now:t
-      | `Hedge (c, tg) -> do_hedge c tg ~now:t
-      | `Step (c, s) -> do_step c s ~now:t);
-      if work_remains () || !pending <> [] || !crashes_left <> [] then loop ()
-      else ()
-  in
-  loop ();
-  let tenant_of = Tenant.lookup trace in
-  let tiers =
-    List.map
-      (fun tier ->
-        let of_tier id = (tenant_of id).Tenant.tier = tier in
-        let reqs =
-          List.length
-            (List.filter
-               (fun (tg : Tenant.tagged) -> tg.Tenant.tenant.Tenant.tier = tier)
-               trace)
-        in
-        let comps =
-          List.filter
-            (fun (comp : Sch.completed) ->
-              of_tier comp.Sch.request.Request.id)
-            !completed
-        in
-        let met = List.length (List.filter Fleet.slo_met comps) in
-        {
-          Fleet.tm_tier = tier;
-          tm_requests = reqs;
-          tm_completed = List.length comps;
-          tm_slo_met = met;
-          tm_attainment =
-            (if reqs = 0 then 1. else float_of_int met /. float_of_int reqs);
-        })
-      Tenant.tiers
-  in
+      let trip = failed && config.failover && verdict = `Tripped in
+      if trip then drain c;
+      trip);
+  let completed = List.rev k.L.completed in
+  let dropped = List.rev k.L.dropped in
+  let rate_limited = List.rev k.L.rate_limited in
+  let sum f = Array.fold_left (fun n p -> n + f p) 0 planes in
   let class_stats =
     Array.to_list classes
-    |> List.map (fun c ->
-           let b = c.c_backend in
-           let bstats = Health.breaker_stats c.c_health in
+    |> List.map (fun (c : L.cls) ->
+           let p = plane_of c in
+           let b = p.p_backend in
+           let bstats = Health.breaker_stats p.p_health in
            {
              cs_backend = b.Backend.bk_name;
              cs_kind = Backend.kind_name b.Backend.bk_kind;
              cs_fingerprint = b.Backend.bk_fingerprint;
              cs_replicas = b.Backend.bk_replicas;
              cs_pes = b.Backend.bk_replicas * b.Backend.bk_pes;
-             cs_routed = c.c_routed;
-             cs_completed = c.c_completed;
-             cs_steps = c.c_steps;
-             cs_stall_seconds = c.c_stall;
-             cs_service_seconds = c.c_service;
-             cs_requeues = c.c_requeues;
-             cs_reroutes_out = c.c_rr_out;
-             cs_reroutes_in = c.c_rr_in;
-             cs_hedges_in = c.c_hedges_in;
-             cs_forced = c.c_forced;
+             cs_routed = p.p_routed;
+             cs_completed = c.L.c_completed;
+             cs_steps = c.L.c_steps;
+             cs_stall_seconds = c.L.c_stall;
+             cs_service_seconds = c.L.c_service;
+             cs_requeues = c.L.c_requeues;
+             cs_reroutes_out = p.p_rr_out;
+             cs_reroutes_in = p.p_rr_in;
+             cs_hedges_in = p.p_hedges_in;
+             cs_forced = p.p_forced;
              cs_probes = bstats.Mikpoly_fault.Breaker.probes;
              cs_trips = bstats.Mikpoly_fault.Breaker.trips;
-             cs_drains = c.c_drains;
-             cs_brownout_steps = c.c_brownout_steps;
-             cs_degraded_entries = Health.degraded_entries c.c_health;
-             cs_level_transitions = Health.transitions c.c_health;
-             cs_final_level = Health.level_name (Health.level c.c_health);
-             cs_cache =
-               (Array.to_list c.c_slots
-               |> List.map (fun s -> Shape_cache.stats s.sl_cache))
-               @ List.rev c.c_retired;
-             cs_store = Shape_cache.stats c.c_store;
+             cs_drains = p.p_drains;
+             cs_brownout_steps = c.L.c_brownout_steps;
+             cs_degraded_entries = Health.degraded_entries p.p_health;
+             cs_level_transitions = Health.transitions p.p_health;
+             cs_final_level = Health.level_name (Health.level p.p_health);
+             cs_cache = L.class_caches c;
+             cs_store = Shape_cache.stats c.L.c_store;
            })
   in
   let status_pairs =
     List.filter_map
       (fun (tg : Tenant.tagged) ->
-        match Hashtbl.find_opt statuses tg.Tenant.req.Request.id with
+        match Hashtbl.find_opt k.L.statuses tg.Tenant.req.Request.id with
         | Some st -> Some (tg.Tenant.req, st)
         | None -> None)
       trace
@@ -885,35 +398,33 @@ let run ?(faults = Plan.none) config trace =
       status_pairs
     |> List.sort compare |> String.concat "\n" |> Checksum.fnv1a64_hex
   in
-  let conserved =
-    List.length status_pairs = List.length trace
-    && List.length !completed + List.length !dropped
-       + List.length !rate_limited
-       = List.length trace
-    && !resolved = List.length trace
-  in
+  let n = List.length trace in
   {
-    o_completed = List.rev !completed;
-    o_dropped = !dropped;
-    o_rate_limited = !rate_limited;
-    o_steps = !steps;
-    o_makespan = !makespan;
-    o_stall_seconds = !stall_total;
-    o_actual_tokens = !actual_tokens;
-    o_padded_tokens = !padded_tokens;
-    o_queue_depth_sum = !qsum;
-    o_queue_samples = !qsamples;
-    o_crashes = !crash_count;
-    o_injected_faults = !injected;
-    o_requeues = !requeues;
-    o_reroutes = !reroutes;
-    o_hedges = !hedges;
-    o_hedge_cancels = !hedge_cancels;
+    o_completed = completed;
+    o_dropped = dropped;
+    o_rate_limited = rate_limited;
+    o_steps = Array.fold_left (fun n c -> n + c.L.c_steps) 0 classes;
+    o_makespan = k.L.makespan;
+    o_stall_seconds = k.L.stall_total;
+    o_actual_tokens = k.L.actual_tokens;
+    o_padded_tokens = k.L.padded_tokens;
+    o_queue_depth_sum = k.L.qsum;
+    o_queue_samples = k.L.qsamples;
+    o_crashes = k.L.crashes;
+    o_injected_faults = k.L.injected;
+    o_requeues = k.L.requeues;
+    o_reroutes = sum (fun p -> p.p_rr_out);
+    o_hedges = sum (fun p -> p.p_hedges_in);
+    o_hedge_cancels = k.L.cancels;
     o_classes = class_stats;
-    o_tiers = tiers;
+    o_tiers = Fleet.tier_metrics trace completed;
     o_statuses = status_pairs;
     o_status_digest = digest;
-    o_conserved = conserved;
+    o_conserved =
+      List.length status_pairs = n
+      && List.length completed + List.length dropped + List.length rate_limited
+         = n
+      && Hashtbl.length k.L.statuses = n;
   }
 
 let to_scheduler_outcome (o : outcome) : Sch.outcome =

@@ -64,7 +64,7 @@ type config = {
 
 val validate : config -> unit
 
-type status =
+type status = Mikpoly_fleet.Event_loop.status =
   | Completed
   | Dropped  (** shed by the SLO batcher *)
   | Rate_limited  (** refused at the door by the token bucket *)
@@ -137,9 +137,11 @@ val run :
   outcome
 (** Serve a tagged multi-tenant trace to completion on the mixed
     fleet. Device-class indices in the fault plan's outage/brown-out
-    windows refer to [config.backends] order. Event ties break
-    crash < arrival < hedge < replica step, then class index, then
-    slot index. *)
+    windows refer to [config.backends] order. Runs on the shared
+    {!Mikpoly_fleet.Event_loop} kernel with the router, health and
+    hedge planes. Event ties break crash < arrival < hedge <
+    warm-refresh < tick < replica step (a hetero run has no refresh or
+    tick plane), then class index, then slot index. *)
 
 val to_scheduler_outcome : outcome -> Mikpoly_serve.Scheduler.outcome
 (** Project onto the single-fleet outcome record so the

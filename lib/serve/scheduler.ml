@@ -452,7 +452,7 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
         ~waiting:r.waiting
     in
     r.waiting <- d.Batcher.deferred;
-    dropped := !dropped @ d.Batcher.dropped;
+    dropped := List.rev_append d.Batcher.dropped !dropped;
     if d.Batcher.dropped <> [] then
       Tm.Metrics.add m_dropped (List.length d.Batcher.dropped);
     (* Queue-phase attribution: one span per admitted request covering
@@ -718,7 +718,7 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
   loop ();
   {
     completed = List.rev !completed;
-    dropped = !dropped;
+    dropped = List.rev !dropped;
     rejected = List.rev !rejected;
     timed_out = List.rev !timed_out;
     failed = List.rev !failed;
