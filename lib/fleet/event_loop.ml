@@ -17,6 +17,13 @@
      the failed batch off its slot (a trip drain), so the kernel does
      not requeue it;
    - [hedge], [refresh], [tick]: timer planes.
+   One hook is given to {!create} instead, because planes push through
+   the kernel too: [on_enqueue] hears every copy that enters a class
+   queue from outside it (arrival, {!push}, {!bounce}, {!transfer}).
+
+   Each class also keeps its work count: the copies queued or in flight
+   on it per bucket signature, updated at every mutation site, so
+   {!fold_work} reads a class backlog in O(#buckets).
 
    Event ties break crash < arrival < hedge < refresh < tick < step,
    then class index, then slot index, so a run is a pure function of
@@ -28,6 +35,8 @@ module Batcher = Mikpoly_serve.Batcher
 module Bucketing = Mikpoly_serve.Bucketing
 module Shape_cache = Mikpoly_serve.Shape_cache
 module Plan = Mikpoly_fault.Plan
+
+module Ranks = Hashtbl.Make (Int)
 
 type status = Completed | Dropped | Rate_limited
 
@@ -66,6 +75,9 @@ type cls = {
   mutable c_requeues : int;
   mutable c_brownout_steps : int;
   mutable c_store_hits : int;
+  mutable c_work : int array;
+      (* copies queued or in flight on this class, by signature rank
+         (see [rank]); grown when a new signature is ranked *)
 }
 
 type t = {
@@ -97,6 +109,9 @@ type t = {
   mutable requeues : int;
   mutable cancels : int;  (* losing copies discarded *)
   mutable coalesced_groups : int;
+  ranks : int Ranks.t;  (* bucket signature -> dense rank *)
+  mutable ranked : (int * int) array;  (* (signature, rank), ascending *)
+  on_enqueue : (cls -> Tenant.tagged -> unit) option;
 }
 
 type timer = { next : unit -> float option; fire : now:float -> unit }
@@ -121,8 +136,8 @@ let slo_met (c : Sch.completed) =
   c.Sch.first_token -. r.Request.arrival <= r.Request.slo.Request.ttft
   && c.Sch.finish -. r.Request.arrival <= r.Request.slo.Request.e2e
 
-let create ?(faults = Plan.none) ?ratelimit ~batcher ~bucketing ~cache_capacity
-    ~coalesce ~classes trace =
+let create ?(faults = Plan.none) ?ratelimit ?on_enqueue ~batcher ~bucketing
+    ~cache_capacity ~coalesce ~classes trace =
   let next_idx = ref 0 in
   let classes =
     Array.of_list
@@ -157,6 +172,7 @@ let create ?(faults = Plan.none) ?ratelimit ~batcher ~bucketing ~cache_capacity
              c_requeues = 0;
              c_brownout_steps = 0;
              c_store_hits = 0;
+             c_work = [||];
            })
          classes)
   in
@@ -199,10 +215,67 @@ let create ?(faults = Plan.none) ?ratelimit ~batcher ~bucketing ~cache_capacity
     requeues = 0;
     cancels = 0;
     coalesced_groups = 0;
+    ranks = Ranks.create 16;
+    ranked = [||];
+    on_enqueue;
   }
 
 let signature k tg =
   Bucketing.bucket k.bucketing tg.Tenant.req.Request.prompt_len
+
+(* Dense rank of a bucket signature, assigned on first sight; every
+   class's work array grows to cover it. *)
+let rank k sg =
+  match Ranks.find k.ranks sg with
+  | r -> r
+  | exception Not_found ->
+    let r = Ranks.length k.ranks in
+    Ranks.add k.ranks sg r;
+    k.ranked <- Array.append k.ranked [| (sg, r) |];
+    Array.sort compare k.ranked;
+    Array.iter
+      (fun c ->
+        let n = Array.length c.c_work in
+        if r >= n then begin
+          let w = Array.make (max 8 (2 * n)) 0 in
+          Array.blit c.c_work 0 w 0 n;
+          c.c_work <- w
+        end)
+      k.classes;
+    r
+
+(* Add [d] copies of [tg]'s signature to class [c]'s work count. *)
+let count k c tg d =
+  let r = rank k (signature k tg) in
+  c.c_work.(r) <- c.c_work.(r) + d
+
+(* [f signature count acc] over class [c]'s non-zero work counts, in
+   ascending signature order. *)
+let fold_work k c f init =
+  Array.fold_left
+    (fun acc (sg, r) ->
+      let n = c.c_work.(r) in
+      if n > 0 then f sg n acc else acc)
+    init k.ranked
+
+(* Recount every class's queue and slots against its work counts: the
+   invariant the mutation sites keep, checked by tests only. *)
+let work_consistent k =
+  Array.for_all
+    (fun c ->
+      let recount = Array.make (Array.length c.c_work) 0 in
+      let tally tg =
+        match Ranks.find_opt k.ranks (signature k tg) with
+        | Some r ->
+          recount.(r) <- recount.(r) + 1;
+          true
+        | None -> false
+      in
+      List.for_all tally (Wfq.to_list c.c_q)
+      && Array.for_all (fun s -> List.for_all (fun a -> tally a.a_tg) s.sl_act)
+           c.c_slots
+      && recount = c.c_work)
+    k.classes
 
 let inflight c =
   Array.fold_left (fun acc s -> acc + List.length s.sl_act) 0 c.c_slots
@@ -244,21 +317,44 @@ let drop_copy k (req : Request.t) =
   Hashtbl.replace k.copies req.Request.id n;
   n
 
-let bounce k s ~into =
+(* A copy enters class [c]'s queue and its work count. *)
+let enqueue k c tg ~front =
+  count k c tg 1;
+  if front then Wfq.push_front c.c_q tg else Wfq.push c.c_q tg;
+  Option.iter (fun f -> f c tg) k.on_enqueue
+
+let push k c tg = enqueue k c tg ~front:false
+
+(* Slot [s] of class [src] loses its in-flight batch to the fronts of
+   [into]'s lanes; returns the batch size. *)
+let bounce k src s ~into =
   let n = List.length s.sl_act in
   List.iter
     (fun a ->
       Hashtbl.remove k.running a.a_tg.Tenant.req.Request.id;
-      Wfq.push_front into a.a_tg)
+      count k src a.a_tg (-1);
+      enqueue k into a.a_tg ~front:true)
     (List.rev s.sl_act);
   s.sl_act <- [];
   n
+
+(* Move [src]'s whole waiting queue, in WFQ order, to the tails of
+   [into]'s lanes; returns how many copies moved. *)
+let transfer k ~src ~into =
+  let waiting = Wfq.to_list src.c_q in
+  src.c_q <- Wfq.create ();
+  List.iter
+    (fun tg ->
+      count k src tg (-1);
+      push k into tg)
+    waiting;
+  List.length waiting
 
 (* In-flight work bounces back to the front of its tenants' lanes
    uncharged: progress (tokens, KV) is lost with the step or the
    process, the requests are not. *)
 let requeue k c s =
-  let n = bounce k s ~into:c.c_q in
+  let n = bounce k c s ~into:c in
   c.c_requeues <- c.c_requeues + n;
   k.requeues <- k.requeues + n
 
@@ -318,7 +414,7 @@ let arrive k planes tg ~now =
       | Some route -> route ~now tg
       | None -> k.classes.(0)
     in
-    Wfq.push c.c_q tg
+    push k c tg
   end
 
 let crash k target ~now =
@@ -407,6 +503,7 @@ let advance k c s ~fin =
             let req = a.a_tg.Tenant.req in
             Hashtbl.remove k.running req.Request.id;
             ignore (drop_copy k req);
+            count k c a.a_tg (-1);
             let comp =
               {
                 Sch.request = req;
@@ -446,7 +543,10 @@ let step k planes c s ~now =
   in
   (* Cancel-at-grant: a copy whose sibling is already running (or whose
      request already resolved) is discarded before the batcher sees
-     it; a duplicate inside one offer keeps only its first copy. *)
+     it; a duplicate inside one offer keeps only its first copy. An
+     offered copy stays in its class's work count until it is
+     discarded, shed or completed; deferred copies go back to their
+     lane fronts still counted. *)
   let seen = ref [] in
   let fresh, stale =
     List.partition
@@ -462,6 +562,7 @@ let step k planes c s ~now =
   List.iter
     (fun (tg : Tenant.tagged) ->
       ignore (drop_copy k tg.Tenant.req);
+      count k c tg (-1);
       k.cancels <- k.cancels + 1)
     stale;
   let tagged_of (req : Request.t) =
@@ -478,6 +579,7 @@ let step k planes c s ~now =
     (fun (req : Request.t) ->
       (* The batcher shed one copy; the request only resolves as dropped
          when no sibling copy remains in flight. *)
+      count k c (tagged_of req) (-1);
       if drop_copy k req <= 0 then set_status k req Dropped
       else k.cancels <- k.cancels + 1)
     d.Batcher.dropped;

@@ -108,11 +108,14 @@ let drop_head l =
 let iter_lanes t f =
   List.iter (fun id -> f (Hashtbl.find t.lanes id)) t.order
 
+(* Built back to front, from the highest tenant id down, so each
+   element is consed once. *)
 let to_list t =
-  let acc = ref [] in
-  iter_lanes t (fun l ->
-      acc := !acc @ l.l_front @ List.rev l.l_back);
-  !acc
+  List.fold_right
+    (fun id acc ->
+      let l = Hashtbl.find t.lanes id in
+      l.l_front @ List.rev_append l.l_back acc)
+    t.order []
 
 (* WFQ-first lane whose head satisfies [admissible]: minimum frozen
    finish tag, ties to the lowest tenant id (the [order] scan gives the

@@ -120,6 +120,44 @@ type outcome = {
 
 module L = Mikpoly_fleet.Event_loop
 
+module Hedge_index = struct
+  module M = Map.Make (struct
+    type t = float * int
+
+    let compare (a, i) (b, j) =
+      match Float.compare a b with 0 -> Int.compare i j | c -> c
+  end)
+
+  type 'a t = 'a M.t
+
+  let empty = M.empty
+
+  let add ~at ~id v t = M.add (at, id) v t
+
+  let mem ~at ~id t = M.mem (at, id) t
+
+  (* Walk up from the earliest key, dropping invalid entries. Every
+     valid entry due by [floor] fires at [floor], so among those the
+     lowest id wins; with none due, the first valid entry does. *)
+  let next ~floor ~valid t =
+    let rec scan t best seq =
+      match seq () with
+      | Seq.Cons ((((at, id) as key), v), rest)
+        when at <= floor || Option.is_none best ->
+        if not (valid id v) then scan (M.remove key t) best rest
+        else if at > floor then (Some (at, id, v), t)
+        else
+          let best =
+            match best with
+            | Some (_, bid, _) when bid < id -> best
+            | _ -> Some (floor, id, v)
+          in
+          scan t best rest
+      | _ -> (best, t)
+    in
+    scan t None (M.to_seq t)
+end
+
 (* Per-class state of the placement, health and hedge planes; the event
    loop's own class record carries the queue, slots and program store.
    A class store is never shared fleet-wide: the other device class has
@@ -137,8 +175,42 @@ type plane = {
 
 let run ?(faults = Plan.none) config trace =
   validate config;
+  (* Hedged dispatch: a gold-tier request still queued at
+     [arrival + slack · TTFT-budget] gets a clone on the best other
+     class; the first copy to reach an admission grant wins. Candidates
+     enter the index whenever a hedge-tier request that was never
+     hedged enters a class queue, keyed by that instant and request id
+     with the class they sit in, and are checked lazily when the timer
+     peeks: a candidate that is running, hedged or resolved is
+     dropped. A request that was never hedged has exactly one copy, so
+     one that is not running is queued, on the class it last entered.
+     The hedge instant never precedes an event already handled. *)
+  let hedging =
+    match config.hedge with
+    | Some h when config.failover && List.length config.backends > 1 -> Some h
+    | _ -> None
+  in
+  let hedged : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+  let index = ref Hedge_index.empty in
+  let on_enqueue =
+    Option.map
+      (fun h (c : L.cls) (tg : Tenant.tagged) ->
+        let req = tg.Tenant.req in
+        if
+          List.mem tg.Tenant.tenant.Tenant.tier h.hedge_tiers
+          && not (Hashtbl.mem hedged req.Request.id)
+        then
+          index :=
+            Hedge_index.add
+              ~at:
+                (req.Request.arrival
+                +. (h.hedge_slack *. req.Request.slo.Request.ttft))
+              ~id:req.Request.id (c, tg) !index)
+      hedging
+  in
   let k =
-    L.create ~faults ?ratelimit:config.ratelimit ~batcher:config.batcher
+    L.create ~faults ?ratelimit:config.ratelimit ?on_enqueue
+      ~batcher:config.batcher
       ~bucketing:config.bucketing ~cache_capacity:config.cache_capacity
       ~coalesce:config.coalesce ~classes:
         (List.map
@@ -179,20 +251,12 @@ let run ?(faults = Plan.none) config trace =
         0.
         (engine.Sch.step_shapes ~tokens:btokens)
     in
-    let service_of tg =
-      engine.Sch.step_seconds ~tokens:(L.signature k tg) ~kv_tokens:0
-    in
     let backlog =
-      List.fold_left
-        (fun acc tg -> acc +. service_of tg)
-        0. (Wfq.to_list c.L.c_q)
-      |> fun q ->
-      Array.fold_left
-        (fun acc s ->
-          List.fold_left
-            (fun acc a -> acc +. service_of a.L.a_tg)
-            acc s.L.sl_act)
-        q c.L.c_slots
+      L.fold_work k c
+        (fun sg n acc ->
+          let step = engine.Sch.step_seconds ~tokens:sg ~kv_tokens:0 in
+          acc +. (float_of_int n *. step))
+        0.
     in
     {
       Router.cv_class = c.L.c_idx;
@@ -226,41 +290,6 @@ let run ?(faults = Plan.none) config trace =
     Tm.Metrics.incr m_routed;
     c
   in
-  (* Hedged dispatch: a gold-tier request still queued at
-     [arrival + slack · TTFT-budget] gets a clone on the best other
-     class; the first copy to reach an admission grant wins. The hedge
-     instant never precedes an event already handled. *)
-  let hedged : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let floor_now = ref 0. in
-  let hedge_next h =
-    let best = ref None in
-    Array.iter
-      (fun (c : L.cls) ->
-        List.iter
-          (fun (tg : Tenant.tagged) ->
-            let req = tg.Tenant.req in
-            if
-              List.mem tg.Tenant.tenant.Tenant.tier h.hedge_tiers
-              && (not (Hashtbl.mem hedged req.Request.id))
-              && not (Hashtbl.mem k.L.statuses req.Request.id)
-            then begin
-              let t =
-                Float.max !floor_now
-                  (req.Request.arrival
-                  +. (h.hedge_slack *. req.Request.slo.Request.ttft))
-              in
-              match !best with
-              | Some (bt, _, btg)
-                when bt < t
-                     || (bt = t && btg.Tenant.req.Request.id <= req.Request.id)
-                ->
-                ()
-              | _ -> best := Some (t, c, tg)
-            end)
-          (Wfq.to_list c.L.c_q))
-      classes;
-    !best
-  in
   let hedge_to (c : L.cls) (tg : Tenant.tagged) ~now =
     let req = tg.Tenant.req in
     Hashtbl.replace hedged req.Request.id ();
@@ -272,25 +301,33 @@ let run ?(faults = Plan.none) config trace =
       L.add_copy k req.Request.id;
       (plane_of tgt).p_hedges_in <- (plane_of tgt).p_hedges_in + 1;
       Tm.Metrics.incr m_hedges;
-      Wfq.push tgt.L.c_q tg
+      L.push k tgt tg
     end
   in
+  let valid id _ =
+    not
+      (Hashtbl.mem hedged id || Hashtbl.mem k.L.running id
+     || Hashtbl.mem k.L.statuses id)
+  in
   let hedge =
-    match config.hedge with
-    | Some h when config.failover && Array.length classes > 1 ->
-      let found = ref None in
-      Some
+    Option.map
+      (fun _ ->
+        let floor_now = ref 0. and found = ref None in
         {
           L.next =
             (fun () ->
               floor_now := Float.max !floor_now k.L.now;
-              found := hedge_next h;
-              Option.map (fun (t, _, _) -> t) !found);
+              let next, rest =
+                Hedge_index.next ~floor:!floor_now ~valid !index
+              in
+              index := rest;
+              found := next;
+              Option.map (fun (t, _, _) -> t) next);
           fire =
             (fun ~now ->
-              Option.iter (fun (_, c, tg) -> hedge_to c tg ~now) !found);
-        }
-    | _ -> None
+              Option.iter (fun (_, _, (c, tg)) -> hedge_to c tg ~now) !found);
+        })
+      hedging
   in
   (* Breaker trip: drain the whole class — every replica's in-flight
      batch back through [push_front] (they were already admitted once),
@@ -327,11 +364,8 @@ let run ?(faults = Plan.none) config trace =
         (plane_of tgt).p_rr_in <- (plane_of tgt).p_rr_in + n;
         Tm.Metrics.add m_reroutes n
       in
-      Array.iter (fun s -> moved (L.bounce k s ~into:tgt.L.c_q)) c.L.c_slots;
-      let waiting = Wfq.to_list c.L.c_q in
-      c.L.c_q <- Wfq.create ();
-      moved (List.length waiting);
-      List.iter (Wfq.push tgt.L.c_q) waiting
+      Array.iter (fun s -> moved (L.bounce k c s ~into:tgt)) c.L.c_slots;
+      moved (L.transfer k ~src:c ~into:tgt)
   in
   L.run k ?hedge
     ~route:(fun ~now tg -> place ~now (route ~now ~exclude:None tg))

@@ -130,6 +130,32 @@ type outcome = {
       (** every trace request has exactly one terminal status *)
 }
 
+module Hedge_index : sig
+  (** The hedge plane's candidate set: entries keyed by
+      (hedge instant, request id), each carrying a payload (in
+      {!run}, the class the request is queued on). Validity is checked
+      lazily, so callers only ever add. *)
+
+  type 'a t
+
+  val empty : 'a t
+
+  val add : at:float -> id:int -> 'a -> 'a t -> 'a t
+  (** Insert, or replace the payload of, the entry [(at, id)]. *)
+
+  val mem : at:float -> id:int -> 'a t -> bool
+
+  val next :
+    floor:float ->
+    valid:(int -> 'a -> bool) ->
+    'a t ->
+    (float * int * 'a) option * 'a t
+  (** The next entry to fire, with the index stripped of the invalid
+      entries met on the way. Fire time is [max floor at]: when several
+      valid entries are due by [floor], all fire at [floor] and the
+      lowest id goes first; otherwise the earliest [(at, id)] wins. *)
+end
+
 val run :
   ?faults:Mikpoly_fault.Plan.t ->
   config ->
@@ -141,7 +167,14 @@ val run :
     {!Mikpoly_fleet.Event_loop} kernel with the router, health and
     hedge planes. Event ties break crash < arrival < hedge <
     warm-refresh < tick < replica step (a hetero run has no refresh or
-    tick plane), then class index, then slot index. *)
+    tick plane), then class index, then slot index.
+
+    Routing calls {!Router.route} without [~weight], so every request
+    sees the weight-1 cost [service + cold_compile + backlog / replicas]
+    whatever its tier. A class backlog is read from the kernel's
+    per-class work count, Σ over bucket signatures in ascending order
+    of [count × step_seconds bucket]; hedge candidates wait in a
+    {!Hedge_index}. Neither walks a queue. *)
 
 val to_scheduler_outcome : outcome -> Mikpoly_serve.Scheduler.outcome
 (** Project onto the single-fleet outcome record so the

@@ -19,9 +19,8 @@ type decision = {
 
 (* The WFQ admission share: a weight-w tenant is served ahead of most
    of a mixed queue, so the wait it actually experiences is roughly the
-   class backlog scaled down by its weight. Routing with the raw
-   backlog would overestimate a gold request's wait 4x and push it off
-   the latency class exactly when it needs it most. *)
+   class backlog scaled down by its weight. Hetero.run routes at weight
+   1 (the raw backlog) today. *)
 let cost_w ~weight v =
   v.cv_service +. v.cv_cold_compile
   +. (v.cv_backlog

@@ -15,14 +15,16 @@
     (recompile-on-arrival, charged on the event clock when the request
     actually lands), and the backlog term the queueing delay implied by
     the {e predicted work seconds} of everything queued or in flight on
-    the class — summed per entry at that class's own step times, not
-    approximated by a count times a trailing average, so a queue of
+    the class — each bucket signature's copy count times that class's
+    own step time for the bucket, not a count times a trailing
+    average, so a queue of
     cheap interactive steps and a queue of heavy conv jobs rank
-    honestly against each other. The backlog is further scaled down by
-    the request's WFQ admission [weight]: a weight-4 gold request is
-    served ahead of most of a mixed queue, so the raw backlog would
-    overestimate its wait and push it off the latency class exactly
-    when it needs it most.
+    honestly against each other. {!route} can further scale the
+    backlog down by a WFQ admission [weight], since a weight-4 gold
+    request is served ahead of most of a mixed queue. [Hetero.run]
+    does not pass one: every request is routed at weight 1 today,
+    whatever its tier, so the cost it ranks on is
+    [service + cold_compile + backlog_seconds / replicas].
 
     The cost is also the predicted time-to-first-token, which makes the
     router deadline-aware (see {!route}'s [ttft_budget]): a class whose
@@ -65,8 +67,8 @@ type decision = {
 }
 
 val cost : class_view -> float
-(** Weight-1 cost: the full-backlog estimate a best-effort request
-    sees. *)
+(** Weight-1 cost: the full-backlog estimate every request sees in
+    [Hetero.run] today. *)
 
 val route :
   ?degraded_max_tokens:int ->
@@ -80,6 +82,7 @@ val route :
     margin) outrank classes that miss, the slowest-service fitting
     class wins, and among missing classes the cheapest cost wins; with
     the default infinite budget the rank is plain cheapest-cost.
+    [weight] defaults to 1 (the raw backlog).
     [degraded_max_tokens] defaults to [max_int] (a degraded class still
     takes everything). Raises [Invalid_argument] on an empty view
     list. *)

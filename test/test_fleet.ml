@@ -472,6 +472,90 @@ let test_fleet_scheduler_projection () =
   Alcotest.(check int) "tier rows partition the trace" (List.length tr)
     tier_reqs
 
+(* --- Event-loop work counts --- *)
+
+let loop_engine =
+  {
+    Scheduler.engine_name = "synthetic";
+    step_seconds = (fun ~tokens ~kv_tokens:_ -> 1e-4 *. float_of_int tokens);
+    step_shapes = (fun ~tokens -> [ ((tokens, 64, 64), 1) ]);
+    compile_seconds = (fun _ -> 1e-5);
+    precompile_batch = (fun ~jobs:_ shapes -> List.length shapes);
+  }
+
+(* The kernel's per-class work counts are recounted from the queues and
+   slots on every event, while the planes do their worst: random
+   routing, TTFT budgets tight enough for the SLO batcher to shed, a
+   health plane that bounces a class's slots (and sometimes its whole
+   queue) to the other class, a timer that pushes duplicate copies, a
+   crash plan and step faults. *)
+let prop_work_counts_consistent =
+  QCheck.Test.make ~count:60
+    ~name:"event loop: work counts match a recount on every event"
+    QCheck.(triple small_nat (int_range 2 24) (int_range 0 2))
+    (fun (seed, count, policy) ->
+      let rng = Random.State.make [| seed |] in
+      let batcher =
+        match policy with
+        | 0 -> Batcher.Greedy { max_batch = 3 }
+        | 1 -> Batcher.Slo_aware { max_batch = 3 }
+        | _ -> Batcher.Timeout { window = 0.002; max_batch = 3 }
+      in
+      let faults =
+        Plan.make ~step_fail_rate:0.1 ~crashes:[ (0.01, 0); (0.03, 3) ]
+          ~restart_delay:0.005 ~seed ()
+      in
+      let k =
+        Event_loop.create ~faults ~batcher ~bucketing:Bucketing.Pow2
+          ~cache_capacity:4 ~coalesce:(seed mod 2 = 0)
+          ~classes:[ (loop_engine, 2); (loop_engine, 2) ]
+          (Tenant.trace ~ttft_budget:0.003 ~seed ~max_prompt:64 ~max_output:3
+             (specs ~count ()) ())
+      in
+      let other (c : Event_loop.cls) =
+        k.Event_loop.classes.(1 - c.Event_loop.c_idx)
+      in
+      let consistent = ref true in
+      let tick =
+        {
+          Event_loop.next =
+            (fun () ->
+              if not (Event_loop.work_consistent k) then consistent := false;
+              None);
+          fire = (fun ~now:_ -> ());
+        }
+      in
+      let duplicate =
+        Event_loop.periodic k ~interval:0.003 (fun ~now:_ ->
+            let c = k.Event_loop.classes.(Random.State.int rng 2) in
+            match Wfq.to_list c.Event_loop.c_q with
+            | [] -> ()
+            | queued ->
+              let i = Random.State.int rng (List.length queued) in
+              let tg = List.nth queued i in
+              Event_loop.add_copy k tg.Tenant.req.Request.id;
+              Event_loop.push k (other c) tg)
+      in
+      let health c ~now:_ ~slowdown:_ ~failed:_ =
+        let bounced = Random.State.int rng 4 = 0 in
+        if bounced then begin
+          Array.iter
+            (fun s -> ignore (Event_loop.bounce k c s ~into:(other c)))
+            c.Event_loop.c_slots;
+          if Random.State.bool rng then
+            ignore (Event_loop.transfer k ~src:c ~into:(other c))
+        end;
+        bounced
+      in
+      Event_loop.run k ~tick ~hedge:duplicate ~health
+        ~route:(fun ~now:_ _ -> k.Event_loop.classes.(Random.State.int rng 2));
+      !consistent
+      && Event_loop.work_consistent k
+      && Array.for_all
+           (fun c -> Array.for_all (( = ) 0) c.Event_loop.c_work)
+           k.Event_loop.classes
+      && Hashtbl.length k.Event_loop.statuses = 3 * count)
+
 let () =
   Alcotest.run "fleet"
     [
@@ -533,5 +617,6 @@ let () =
             test_fleet_autoscaler_stays_in_bounds;
           Alcotest.test_case "scheduler projection" `Quick
             test_fleet_scheduler_projection;
+          QCheck_alcotest.to_alcotest prop_work_counts_consistent;
         ] );
     ]

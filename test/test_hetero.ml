@@ -16,6 +16,10 @@ module Scheduler = Mikpoly_serve.Scheduler
 module Plan = Mikpoly_fault.Plan
 module Breaker = Mikpoly_fault.Breaker
 module Hardware = Mikpoly_accel.Hardware
+module Compiler = Mikpoly_core.Compiler
+module Mix = Mikpoly_workloads.Serving_mix
+module EH = Mikpoly_experiments.Exp_hetero
+module Hedge_index = Hetero.Hedge_index
 
 let gold = { Tenant.tenant_id = 0; tenant_name = "gold"; tier = Tenant.Gold }
 
@@ -507,6 +511,183 @@ let test_hetero_scheduler_projection () =
     (List.length s.Scheduler.cache)
     (List.length (Hetero.cache_labels o))
 
+(* --- Hedge index --- *)
+
+let test_hedge_index_clamp_ties () =
+  let idx =
+    Hedge_index.(
+      empty |> add ~at:0.1 ~id:5 'a' |> add ~at:0.2 ~id:3 'b'
+      |> add ~at:0.3 ~id:9 'c')
+  in
+  let all _ _ = true in
+  let next floor = fst (Hedge_index.next ~floor ~valid:all idx) in
+  Alcotest.(check (option (triple (float 0.) int char)))
+    "nothing due: earliest instant" (Some (0.1, 5, 'a')) (next 0.05);
+  Alcotest.(check (option (triple (float 0.) int char)))
+    "two overdue: both at the floor, lowest id first" (Some (0.25, 3, 'b'))
+    (next 0.25);
+  let got, rest =
+    Hedge_index.next ~floor:0.25 ~valid:(fun id _ -> id <> 3) idx
+  in
+  Alcotest.(check (option (triple (float 0.) int char)))
+    "invalid entries are skipped" (Some (0.25, 5, 'a')) got;
+  Alcotest.(check bool)
+    "and dropped" false
+    (Hedge_index.mem ~at:0.2 ~id:3 rest);
+  Alcotest.(check bool)
+    "valid ones kept" true
+    (Hedge_index.mem ~at:0.1 ~id:5 rest)
+
+type where = Idle | Queued of int | Running | Resolved
+
+(* A random enqueue/grant/bounce/hedge/resolve history over [n]
+   requests and three classes, replayed against the index and against
+   a brute-force copy of the full queue rescan it replaced; every peek
+   must agree on (instant, id, class). Instants sit on a coarse grid so
+   ties and overdue candidates are common. Each history opens with
+   three candidates due at 0, one of them granted and bounced back to
+   another class (a crash requeue), then a floor past all three. *)
+let hedge_history ~seed ~n ~ops =
+  let rng = Random.State.make [| seed |] in
+  let at =
+    Array.init n (fun i ->
+        if i < 3 then 0. else 0.01 *. float_of_int (Random.State.int rng 12))
+  in
+  let where = Array.make n Idle and hedged = Array.make n false in
+  let index = ref Hedge_index.empty and floor = ref 0. in
+  let enqueue i c =
+    where.(i) <- Queued c;
+    if not hedged.(i) then index := Hedge_index.add ~at:at.(i) ~id:i c !index
+  in
+  let scan () =
+    let best = ref None in
+    Array.iteri
+      (fun i w ->
+        match w with
+        | Queued c when not hedged.(i) -> (
+          let t = Float.max !floor at.(i) in
+          match !best with
+          | Some (bt, bid, _) when bt < t || (bt = t && bid <= i) -> ()
+          | _ -> best := Some (t, i, c))
+        | _ -> ())
+      where;
+    !best
+  in
+  let valid i _ =
+    not (hedged.(i) || where.(i) = Running || where.(i) = Resolved)
+  in
+  let ok = ref true in
+  let peek () =
+    let got, rest = Hedge_index.next ~floor:!floor ~valid !index in
+    index := rest;
+    if got <> scan () then ok := false;
+    got
+  in
+  let fire () = Option.iter (fun (_, id, _) -> hedged.(id) <- true) (peek ()) in
+  enqueue 0 0;
+  enqueue 1 1;
+  enqueue 2 0;
+  where.(1) <- Running;
+  ignore (peek ());
+  enqueue 1 2;
+  floor := 0.05;
+  fire ();
+  for _ = 1 to ops do
+    let i = Random.State.int rng n in
+    (match (Random.State.int rng 6, where.(i)) with
+    | 0, Idle -> enqueue i (Random.State.int rng 3)
+    | 1, Queued _ -> where.(i) <- Running
+    | 2, Running -> enqueue i (Random.State.int rng 3)
+    | 3, (Queued _ | Running) -> where.(i) <- Resolved
+    | 4, _ -> floor := !floor +. (0.01 *. float_of_int (Random.State.int rng 4))
+    | 5, _ -> fire ()
+    | _ -> ());
+    ignore (peek ())
+  done;
+  !ok
+
+let prop_hedge_index_matches_rescan =
+  QCheck.Test.make ~name:"hedge index == full queue rescan" ~count:200
+    QCheck.(pair small_nat (int_range 3 30))
+    (fun (seed, n) -> hedge_history ~seed ~n ~ops:300)
+
+(* --- Growth gate: router work per request stays flat under overload --- *)
+
+(* The hetero experiment's tenant mix at its overload rate
+   (50x Serving_mix), door off. *)
+let overload_trace ~requests =
+  let specs =
+    List.mapi
+      (fun i ((row : Mix.tenant_row), count) ->
+        {
+          Tenant.tenant =
+            {
+              Tenant.tenant_id = i;
+              tenant_name = row.Mix.mix_name;
+              tier = EH.tier_of_name row.Mix.mix_tier;
+            };
+          rate = row.Mix.mix_rate *. EH.rate_mult;
+          count;
+        })
+      (Mix.counts ~total:requests)
+  in
+  Tenant.trace
+    ~length_dist:(Request.Pareto { alpha = Mix.pareto_alpha })
+    ~profiles:EH.profiles ~seed:1 ~max_prompt:32 ~max_output:8 specs ()
+
+let counted calls (e : Scheduler.engine) =
+  {
+    e with
+    Scheduler.step_seconds =
+      (fun ~tokens ~kv_tokens ->
+        incr calls;
+        e.Scheduler.step_seconds ~tokens ~kv_tokens);
+    step_shapes =
+      (fun ~tokens ->
+        incr calls;
+        e.Scheduler.step_shapes ~tokens);
+    compile_seconds =
+      (fun shape ->
+        incr calls;
+        e.Scheduler.compile_seconds shape);
+    precompile_batch =
+      (fun ~jobs shapes ->
+        incr calls;
+        e.Scheduler.precompile_batch ~jobs shapes);
+  }
+
+(* Engine calls are host-independent, so this gates growth without a
+   clock: the queue is ~8x deeper at 4 000 requests than at 500, and
+   per-request work must not follow it. *)
+let test_hetero_engine_calls_flat () =
+  let engine hw =
+    Engines.mixed_engine ~cnn_cut:EH.cnn_cut (Compiler.create hw)
+  in
+  let gpu = engine Hardware.a100 and npu = engine Hardware.ascend910 in
+  let per_request requests =
+    let calls = ref 0 in
+    let backends =
+      [
+        Backend.make ~hw:Hardware.a100 ~replicas:2 (counted calls gpu);
+        Backend.make ~hw:Hardware.ascend910 ~replicas:3 (counted calls npu);
+      ]
+    in
+    let config =
+      {
+        (EH.hetero_config ~hedge:Hetero.default_hedge ~quick:false backends)
+        with
+        Hetero.ratelimit = None;
+      }
+    in
+    let o = Hetero.run config (overload_trace ~requests) in
+    Alcotest.(check bool) "conserved" true o.Hetero.o_conserved;
+    float_of_int !calls /. float_of_int requests
+  in
+  let small = per_request 500 and large = per_request 4000 in
+  if large > 1.5 *. small then
+    Alcotest.failf "engine calls per request grew %.1f -> %.1f (x%.2f > 1.5)"
+      small large (large /. small)
+
 let () =
   Alcotest.run "hetero"
     [
@@ -559,5 +740,13 @@ let () =
             test_hetero_ratelimit_statuses;
           Alcotest.test_case "scheduler projection" `Quick
             test_hetero_scheduler_projection;
+          Alcotest.test_case "engine calls per request stay flat" `Quick
+            test_hetero_engine_calls_flat;
+        ] );
+      ( "hedge index",
+        [
+          Alcotest.test_case "clamp ties to lowest id" `Quick
+            test_hedge_index_clamp_ties;
+          QCheck_alcotest.to_alcotest prop_hedge_index_matches_rescan;
         ] );
     ]
