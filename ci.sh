@@ -202,4 +202,13 @@ dune exec bench/main.exe -- --quick --only hetero
 test -s BENCH_hetero.json
 grep -q '"gates_ok":true' BENCH_hetero.json
 
+echo "== perfbench smoke =="
+# The host-time benchmark's correctness checks on one short run: it
+# exits non-zero unless compiled programs are byte-identical and
+# numerically correct, every serving loop gives each request exactly
+# one terminal status, statuses and counts repeat across reps and runs
+# of the seed, and every metric is finite. Its timings are not gated
+# here.
+python3 perfbench/run.py --workload serve-nominal --seed 1 --seconds 1 --trace 0
+
 echo "CI OK"

@@ -457,32 +457,37 @@ let launch_shapes k c acts ~btokens =
   end
   else shapes btokens
 
-(* Program lookup ladder: replica cache, then the class store
-   (stall-free once its publishing compile finished by [now]), then an
-   on-path compile that stalls this step and publishes class-wide. *)
+(* Program lookup ladder, climbed per launch that misses: replica
+   cache, then the class store (stall-free once its publishing compile
+   finished by [now]), then an on-path compile that stalls this step and
+   publishes class-wide. The replica cache is probed once per shape
+   entry: a hit credits every remaining launch of the entry at once. *)
 let compile_stall k c s ~now ~btokens =
   let stall = ref 0. in
   List.iter
     (fun (shape, launches) ->
-      for _ = 1 to launches do
-        match Shape_cache.find s.sl_cache shape with
-        | Some () -> ()
-        | None ->
-          let ready =
-            match Shape_cache.find c.c_store shape with
-            | Some at -> at <= now
-            | None -> false
-          in
-          if ready then begin
-            c.c_store_hits <- c.c_store_hits + 1;
-            Shape_cache.add s.sl_cache shape ()
-          end
-          else begin
-            stall := !stall +. c.c_engine.Sch.compile_seconds shape;
-            Shape_cache.add s.sl_cache shape ();
-            Shape_cache.add c.c_store shape (now +. !stall)
-          end
-      done)
+      let rec go n =
+        if n > 0 then
+          match Shape_cache.find_n s.sl_cache shape n with
+          | Some () -> ()
+          | None ->
+            let ready =
+              match Shape_cache.find c.c_store shape with
+              | Some at -> at <= now
+              | None -> false
+            in
+            if ready then begin
+              c.c_store_hits <- c.c_store_hits + 1;
+              Shape_cache.add s.sl_cache shape ()
+            end
+            else begin
+              stall := !stall +. c.c_engine.Sch.compile_seconds shape;
+              Shape_cache.add s.sl_cache shape ();
+              Shape_cache.add c.c_store shape (now +. !stall)
+            end;
+            go (n - 1)
+      in
+      go launches)
     (launch_shapes k c s.sl_act ~btokens);
   !stall
 

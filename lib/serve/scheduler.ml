@@ -499,18 +499,23 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
       actual_tokens := !actual_tokens + tokens;
       padded_tokens := !padded_tokens + btokens;
       (* Every micro-kernel launch consults the program cache; only
-         misses pay the polymerization stall. At capacity 0 nothing is
-         retained, so all launches of a step recompile. *)
+         misses pay the polymerization stall. The cache is probed once
+         per shape: a hit credits all remaining launches at once, a miss
+         compiles one launch and probes again for the rest. At capacity
+         0 nothing is retained, so all launches of a step recompile. *)
       let stall = ref 0. in
       List.iter
         (fun (shape, launches) ->
-          for _ = 1 to launches do
-            match Shape_cache.find r.rcache shape with
-            | Some () -> ()
-            | None ->
-              stall := !stall +. engine.compile_seconds shape;
-              Shape_cache.add r.rcache shape ()
-          done)
+          let rec go n =
+            if n > 0 then
+              match Shape_cache.find_n r.rcache shape n with
+              | Some () -> ()
+              | None ->
+                stall := !stall +. engine.compile_seconds shape;
+                Shape_cache.add r.rcache shape ();
+                go (n - 1)
+          in
+          go launches)
         (engine.step_shapes ~tokens:btokens);
       (* The per-replica step index keys every fault draw: it advances on
          each attempt, so a retried step re-draws — the failure is

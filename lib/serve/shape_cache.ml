@@ -50,19 +50,23 @@ let size (t : _ t) = Hashtbl.length t.table
 
 let mem (t : _ t) key = Hashtbl.mem t.table key
 
-let touch (t : _ t) e =
-  t.tick <- t.tick + 1;
-  e.last_use <- t.tick
-
-let find (t : _ t) key =
+(* [n] back-to-back hits on one key: every touch but the last is
+   overwritten by the next, so one stamp at the final tick leaves the
+   state [n] calls to [find] would. A miss changes nothing but the
+   counter, so it is charged once and the caller decides what follows. *)
+let find_n (t : _ t) key n =
+  if n < 1 then invalid_arg "Shape_cache.find_n: n < 1";
   match Hashtbl.find_opt t.table key with
   | Some e ->
-    touch t e;
-    t.hits <- t.hits + 1;
+    t.tick <- t.tick + n;
+    e.last_use <- t.tick;
+    t.hits <- t.hits + n;
     Some e.value
   | None ->
     t.misses <- t.misses + 1;
     None
+
+let find t key = find_n t key 1
 
 let evict_lru (t : _ t) =
   (* Ticks are unique, so the minimum is unambiguous regardless of the

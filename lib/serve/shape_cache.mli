@@ -47,7 +47,19 @@ val mem : 'a t -> key -> bool
 
 val find : 'a t -> key -> 'a option
 (** Counts a hit or a miss and, on hit, marks the entry most recently
-    used. *)
+    used. Same as [find_n t key 1]. *)
+
+val find_n : 'a t -> key -> int -> 'a option
+(** [find_n t key n] stands for [n] consecutive {!find}s of [key] with
+    nothing in between, at the cost of one. On a hit it counts [n] hits
+    and leaves exactly the state the [n] calls would: the same {!stats},
+    {!lru_order} and {!rejections}, and the same recency stamps, so
+    later evictions pick the same victims. On a miss it counts {e one}
+    miss and returns [None]: the remaining [n - 1] lookups are the
+    caller's, since it normally inserts the key before looking again
+    (a miss-then-{!add} ladder calls [find_n t key (n - 1)] next, which
+    hits unless the cache retains nothing or refused the insert).
+    Requires [n >= 1]. *)
 
 val add : 'a t -> key -> 'a -> unit
 (** Insert (or refresh) a binding, evicting the least recently used

@@ -65,6 +65,103 @@ let test_cache_capacity_zero () =
   Alcotest.(check int) "miss counted" 1 s.Shape_cache.misses;
   Alcotest.(check int) "no eviction churn" 0 s.Shape_cache.evictions
 
+let test_find_n_rejects_nonpositive () =
+  let c = Shape_cache.create ~capacity:2 in
+  Alcotest.check_raises "n = 0" (Invalid_argument "Shape_cache.find_n: n < 1")
+    (fun () -> ignore (Shape_cache.find_n c (1, 1, 1) 0))
+
+(* [find_n] against its definition: [n] back-to-back [find]s that stop
+   at the first miss, and the serving loops' miss-then-add ladder
+   against the per-launch loop it replaces. Two caches built alike run
+   the same op sequence, one through [find_n], one through [find]; after
+   every op the returns, stats, recency order and rejections must agree.
+   Weighted caches with uneven per-key weights make the ladder's inserts
+   get refused, so a ladder can miss on every launch. *)
+type cache_op =
+  | Find of int
+  | Find_n of int * int
+  | Add of int
+  | Ladder of int * int
+
+let cache_op_print = function
+  | Find k -> Printf.sprintf "find %d" k
+  | Find_n (k, n) -> Printf.sprintf "find_n %d %d" k n
+  | Add k -> Printf.sprintf "add %d" k
+  | Ladder (k, n) -> Printf.sprintf "ladder %d %d" k n
+
+let cache_op_gen =
+  QCheck.Gen.(
+    map3
+      (fun op k n ->
+        match op with
+        | 0 -> Find k
+        | 1 -> Find_n (k, n)
+        | 2 -> Add k
+        | _ -> Ladder (k, n))
+      (int_bound 3) (int_bound 3) (int_range 1 6))
+
+let prop_find_n_matches_find =
+  QCheck.Test.make ~count:500
+    ~name:"find_n = back-to-back finds, ladder = per-launch loop"
+    QCheck.(
+      quad (int_range 0 4) bool
+        (array_of_size (Gen.return 4) (int_bound 3))
+        (make
+           ~print:(fun l -> String.concat "; " (List.map cache_op_print l))
+           Gen.(list_size (int_bound 40) cache_op_gen)))
+    (fun (capacity, weighted, weights, ops) ->
+      let key k = (k, k, k) in
+      let make () =
+        if weighted then
+          Shape_cache.create_weighted ~capacity ~weight:(fun (k, _, _) ->
+              float_of_int weights.(k))
+        else Shape_cache.create ~capacity
+      in
+      let fast = make () and slow = make () in
+      let rec finds k n =
+        let r = Shape_cache.find slow (key k) in
+        if r <> None && n > 1 then finds k (n - 1) else r
+      in
+      let same () =
+        Shape_cache.stats fast = Shape_cache.stats slow
+        && Shape_cache.lru_order fast = Shape_cache.lru_order slow
+        && Shape_cache.rejections fast = Shape_cache.rejections slow
+      in
+      List.for_all
+        (fun (i, op) ->
+          let agree =
+            match op with
+            | Find k -> Shape_cache.find fast (key k) = finds k 1
+            | Find_n (k, n) -> Shape_cache.find_n fast (key k) n = finds k n
+            | Add k ->
+              Shape_cache.add fast (key k) i;
+              Shape_cache.add slow (key k) i;
+              true
+            | Ladder (k, n) ->
+              let compiles = ref 0 in
+              let rec go n =
+                if n > 0 then
+                  match Shape_cache.find_n fast (key k) n with
+                  | Some _ -> ()
+                  | None ->
+                    incr compiles;
+                    Shape_cache.add fast (key k) i;
+                    go (n - 1)
+              in
+              go n;
+              let slow_compiles = ref 0 in
+              for _ = 1 to n do
+                match Shape_cache.find slow (key k) with
+                | Some _ -> ()
+                | None ->
+                  incr slow_compiles;
+                  Shape_cache.add slow (key k) i
+              done;
+              !compiles = !slow_compiles
+          in
+          agree && same ())
+        (List.mapi (fun i op -> (i, op)) ops))
+
 (* --- Bucketing --- *)
 
 let test_bucketing_policies () =
@@ -368,6 +465,9 @@ let () =
           Alcotest.test_case "LRU eviction order" `Quick test_lru_eviction_order;
           Alcotest.test_case "stats counters" `Quick test_cache_stats_counters;
           Alcotest.test_case "capacity zero" `Quick test_cache_capacity_zero;
+          Alcotest.test_case "find_n rejects n < 1" `Quick
+            test_find_n_rejects_nonpositive;
+          QCheck_alcotest.to_alcotest prop_find_n_matches_find;
         ] );
       ( "bucketing",
         [
