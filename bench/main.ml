@@ -501,6 +501,50 @@ let run_parallel_bench () =
     (fun () -> output_string oc (Json.to_string json));
   Printf.printf "wrote %s\n%!" path
 
+(* The body shared by the gated-report stages (graph, fleet, rank,
+   hetero): [render ()] builds the stage's results and JSON report from
+   fresh state; it runs at 1 and then at 4 worker domains and the two
+   reports must be byte-identical. Every gate — (name, holds, detail) —
+   must then hold, and the jobs=1 report is written to
+   BENCH_<name>.json. Any failure exits 1. *)
+let run_gated_report name ~render ~gates =
+  let module Dp = Mikpoly_util.Domain_pool in
+  let saved_jobs = Dp.default_jobs () in
+  let render_at jobs =
+    Dp.set_default_jobs jobs;
+    render ()
+  in
+  let r, json1 =
+    Fun.protect
+      ~finally:(fun () -> Dp.set_default_jobs saved_jobs)
+      (fun () ->
+        let ((_, json1) as result) = render_at 1 in
+        let _, json4 = render_at 4 in
+        if json1 <> json4 then begin
+          Printf.eprintf "%s bench: report at jobs=4 differs from jobs=1\n"
+            name;
+          exit 1
+        end;
+        result)
+  in
+  let gs = gates r in
+  (match List.filter (fun (_, ok, _) -> not ok) gs with
+  | [] -> ()
+  | fs ->
+    List.iter
+      (fun (gate, _, detail) ->
+        Printf.eprintf "%s bench: gate failed: %s: %s\n" name gate detail)
+      fs;
+    exit 1);
+  Printf.printf "%s bench: %d gates hold, report identical across --jobs\n"
+    name (List.length gs);
+  let path = Printf.sprintf "BENCH_%s.json" name in
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> output_string oc json1);
+  Printf.printf "wrote %s\n%!" path
+
 (* --- Whole-model graph serving: acceptance gates + jobs invariance ---
 
    Runs the lib/graph pipeline (rewrite passes, memory planning,
@@ -515,44 +559,17 @@ let run_parallel_bench () =
 
 let run_graph_bench () =
   let module E = Mikpoly_experiments.Exp_graph in
-  let saved_jobs = Mikpoly_util.Domain_pool.default_jobs () in
-  let render jobs =
-    Mikpoly_util.Domain_pool.set_default_jobs jobs;
-    let compiler = Mikpoly_core.Compiler.create Mikpoly_accel.Hardware.a100 in
-    let runs = E.model_runs ~quick compiler in
-    let serving = E.serving_ab ~quick compiler in
-    (runs, serving, Mikpoly_telemetry.Json.to_string (E.json ~quick runs serving))
-  in
-  let runs, serving, json1 = Fun.protect
-      ~finally:(fun () -> Mikpoly_util.Domain_pool.set_default_jobs saved_jobs)
-      (fun () ->
-        let result = render 1 in
-        let _, _, json4 = render 4 in
-        let _, _, json1 = result in
-        if json1 <> json4 then begin
-          Printf.eprintf "graph bench: report at jobs=4 differs from jobs=1\n";
-          exit 1
-        end;
-        result)
-  in
-  (match E.failed_gates (E.gates runs serving) with
-  | [] -> ()
-  | fs ->
-    List.iter
-      (fun (g : E.gate) ->
-        Printf.eprintf "graph bench: gate failed: %s: %s\n" g.E.gate_name
-          g.E.gate_detail)
-      fs;
-    exit 1);
-  let n_gates = List.length (E.gates runs serving) in
-  Printf.printf "graph bench: %d gates hold, report identical across --jobs\n"
-    n_gates;
-  let path = "BENCH_graph.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc json1);
-  Printf.printf "wrote %s\n%!" path
+  run_gated_report "graph"
+    ~render:(fun () ->
+      let compiler = Mikpoly_core.Compiler.create Mikpoly_accel.Hardware.a100 in
+      let runs = E.model_runs ~quick compiler in
+      let serving = E.serving_ab ~quick compiler in
+      ( (runs, serving),
+        Mikpoly_telemetry.Json.to_string (E.json ~quick runs serving) ))
+    ~gates:(fun (runs, serving) ->
+      List.map
+        (fun (g : E.gate) -> (g.gate_name, g.gate_ok, g.gate_detail))
+        (E.gates runs serving))
 
 (* --- Online adaptation: drift scenario plus a serving SLO A/B ---
 
@@ -778,43 +795,15 @@ let run_resilience_bench () =
 
 let run_fleet_bench () =
   let module E = Mikpoly_experiments.Exp_fleet in
-  let saved_jobs = Mikpoly_util.Domain_pool.default_jobs () in
-  let render jobs =
-    Mikpoly_util.Domain_pool.set_default_jobs jobs;
-    let compiler = Mikpoly_core.Compiler.create Mikpoly_accel.Hardware.a100 in
-    let r = E.results ~quick compiler in
-    (r, Mikpoly_telemetry.Json.to_string (E.json r))
-  in
-  let r, json1 =
-    Fun.protect
-      ~finally:(fun () -> Mikpoly_util.Domain_pool.set_default_jobs saved_jobs)
-      (fun () ->
-        let result = render 1 in
-        let _, json4 = render 4 in
-        let _, json1 = result in
-        if json1 <> json4 then begin
-          Printf.eprintf "fleet bench: report at jobs=4 differs from jobs=1\n";
-          exit 1
-        end;
-        result)
-  in
-  (match E.failed_gates (E.gates r) with
-  | [] -> ()
-  | fs ->
-    List.iter
-      (fun (g : E.gate) ->
-        Printf.eprintf "fleet bench: gate failed: %s: %s\n" g.E.gate_name
-          g.E.gate_detail)
-      fs;
-    exit 1);
-  Printf.printf "fleet bench: %d gates hold, report identical across --jobs\n"
-    (List.length (E.gates r));
-  let path = "BENCH_fleet.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc json1);
-  Printf.printf "wrote %s\n%!" path
+  run_gated_report "fleet"
+    ~render:(fun () ->
+      let compiler = Mikpoly_core.Compiler.create Mikpoly_accel.Hardware.a100 in
+      let r = E.results ~quick compiler in
+      (r, Mikpoly_telemetry.Json.to_string (E.json r)))
+    ~gates:(fun r ->
+      List.map
+        (fun (g : E.gate) -> (g.gate_name, g.gate_ok, g.gate_detail))
+        (E.gates r))
 
 (* --- Learned candidate ranking: acceptance gates + jobs invariance ---
 
@@ -831,42 +820,14 @@ let run_fleet_bench () =
 
 let run_rank_bench () =
   let module E = Mikpoly_experiments.Exp_rank in
-  let saved_jobs = Mikpoly_util.Domain_pool.default_jobs () in
-  let render jobs =
-    Mikpoly_util.Domain_pool.set_default_jobs jobs;
-    let r = E.results ~quick in
-    (r, Mikpoly_telemetry.Json.to_string (E.json r))
-  in
-  let r, json1 =
-    Fun.protect
-      ~finally:(fun () -> Mikpoly_util.Domain_pool.set_default_jobs saved_jobs)
-      (fun () ->
-        let result = render 1 in
-        let _, json4 = render 4 in
-        let _, json1 = result in
-        if json1 <> json4 then begin
-          Printf.eprintf "rank bench: report at jobs=4 differs from jobs=1\n";
-          exit 1
-        end;
-        result)
-  in
-  (match E.failed_gates (E.gates r) with
-  | [] -> ()
-  | fs ->
-    List.iter
-      (fun (g : E.gate) ->
-        Printf.eprintf "rank bench: gate failed: %s: %s\n" g.E.gate_name
-          g.E.gate_detail)
-      fs;
-    exit 1);
-  Printf.printf "rank bench: %d gates hold, report identical across --jobs\n"
-    (List.length (E.gates r));
-  let path = "BENCH_rank.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc json1);
-  Printf.printf "wrote %s\n%!" path
+  run_gated_report "rank"
+    ~render:(fun () ->
+      let r = E.results ~quick in
+      (r, Mikpoly_telemetry.Json.to_string (E.json r)))
+    ~gates:(fun r ->
+      List.map
+        (fun (g : E.gate) -> (g.gate_name, g.gate_ok, g.gate_detail))
+        (E.gates r))
 
 (* --- Heterogeneous fleet: acceptance gates + jobs invariance ---
 
@@ -883,46 +844,14 @@ let run_rank_bench () =
 
 let run_hetero_bench () =
   let module E = Mikpoly_experiments.Exp_hetero in
-  let saved_jobs = Mikpoly_util.Domain_pool.default_jobs () in
-  let render jobs =
-    Mikpoly_util.Domain_pool.set_default_jobs jobs;
-    let r = E.results ~quick in
-    (r, Mikpoly_telemetry.Json.to_string (E.json r))
-  in
-  let r, json1 =
-    Fun.protect
-      ~finally:(fun () -> Mikpoly_util.Domain_pool.set_default_jobs saved_jobs)
-      (fun () ->
-        let result = render 1 in
-        let _, json4 = render 4 in
-        let _, json1 = result in
-        if json1 <> json4 then begin
-          Printf.eprintf "hetero bench: report at jobs=4 differs from jobs=1
-";
-          exit 1
-        end;
-        result)
-  in
-  (match E.failed_gates (E.gates r) with
-  | [] -> ()
-  | fs ->
-    List.iter
-      (fun (g : E.gate) ->
-        Printf.eprintf "hetero bench: gate failed: %s: %s
-" g.E.gate_name
-          g.E.gate_detail)
-      fs;
-    exit 1);
-  Printf.printf "hetero bench: %d gates hold, report identical across --jobs
-"
-    (List.length (E.gates r));
-  let path = "BENCH_hetero.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc json1);
-  Printf.printf "wrote %s
-%!" path
+  run_gated_report "hetero"
+    ~render:(fun () ->
+      let r = E.results ~quick in
+      (r, Mikpoly_telemetry.Json.to_string (E.json r)))
+    ~gates:(fun r ->
+      List.map
+        (fun (g : E.gate) -> (g.gate_name, g.gate_ok, g.gate_detail))
+        (E.gates r))
 
 let () =
   let stages =

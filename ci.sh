@@ -208,7 +208,10 @@ echo "== perfbench smoke =="
 # numerically correct, every serving loop gives each request exactly
 # one terminal status, statuses and counts repeat across reps and runs
 # of the seed, and every metric is finite. Its timings are not gated
-# here.
+# here. The compile-cold run covers the search path: it also fails on
+# a wrong executor result, on warm programs that differ from the
+# sequential ones, or on search tallies that do not repeat.
 python3 perfbench/run.py --workload serve-nominal --seed 1 --seconds 1 --trace 0
+python3 perfbench/run.py --workload compile-cold --seed 1 --seconds 1 --trace 0
 
 echo "CI OK"

@@ -41,12 +41,13 @@ type t = {
       (** split-point heuristic: wave-boundary candidates vs only the
           maximal full-tile cut (ablation knob; default wave-aligned) *)
   search_jobs : int;
-      (** worker domains for the online search and offline tuning:
+      (** worker domains for batched online search
+          ({!Polymerize.search_batch}) and offline tuning:
           [0] (default) inherits {!Mikpoly_util.Domain_pool.default_jobs}
           (the CLI's [--jobs] flag), [1] forces sequential, [n > 1]
           uses [n] domains. Never affects which program is chosen —
-          the parallel search is deterministic — so it is excluded
-          from {!cache_key}. *)
+          each search is sequential and deterministic — so it is
+          excluded from {!cache_key}. *)
   search_deadline_ms : float;
       (** online-search deadline in milliseconds of {e modeled} search
           time ([0.] = unbounded, the default). The deadline is

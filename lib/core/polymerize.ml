@@ -75,11 +75,10 @@ let modeled_search_seconds (c : compiled) =
 (* A [Config.search_deadline_ms] budget, expressed in the same modeled
    time [modeled_search_seconds] charges, converted to a per-unit
    candidate quota. Candidates are counted per (pattern × primary) unit
-   in a jobs-independent order, so cutting each unit at its quota makes
-   the best-so-far result of a truncated search bit-identical at every
-   job count — a wall-clock deadline could not promise that. Every unit
-   keeps at least one candidate, so a program always exists (Pattern I
-   is always feasible). *)
+   in a fixed visitation order, so cutting each unit at its quota makes
+   a truncated search deterministic — a wall-clock deadline could not
+   promise that. Every unit keeps at least one candidate, so a program
+   always exists (Pattern I is always feasible). *)
 let unit_quota ~deadline_ms ~n_units =
   if deadline_ms <= 0. then max_int
   else begin
@@ -88,6 +87,31 @@ let unit_quota ~deadline_ms ~n_units =
     in
     max 1 (int_of_float total / max 1 n_units)
   end
+
+(* Every region is a separate kernel launch on the device; charging it
+   in the search keeps tiny operators on single-region programs (the
+   overhead-consciousness that leads the paper to restrict GPU pattern
+   use, Section 4). *)
+let launch_term (set : Kernel_set.t) (config : Config.t) =
+  if config.search_launch_term then
+    set.hw.Hardware.launch_overhead_s *. set.hw.clock_hz
+  else 0.
+
+(* Analytic pre-pruning (Strategy_space) is sound only under the plain
+   Eq.-2 Full objective: calibrated corrections are arbitrary per-kernel
+   functions that break cross-kernel dominance, the ablated objectives
+   reorder costs, and simulator cycles are not Eq.-2 costs at all. All
+   three filters preserve the total tie-break order, so the chosen
+   program is bit-identical with pruning on or off
+   ([Selfcheck.check_prune] is the oracle). *)
+let analytic_prunes (config : Config.t) scorer =
+  config.analytic_prune
+  && match scorer with Model Cost_model.Full -> true | _ -> false
+
+(* The reduction extent is fixed for the whole compile, so each kernel's
+   f_pipe = g_predict(⌈K/uK⌉) is a constant. *)
+let pipe_terms (set : Kernel_set.t) k =
+  Array.map (fun e -> Cost_model.f_pipe e ~k_len:k) set.entries
 
 type choice = {
   c_pattern : Pattern.t;
@@ -98,8 +122,8 @@ type choice = {
 
 (* Total order on equal-cost candidates: (pattern, cuts, pinned kernel
    ranks, fill rank). The search keeps the smallest (cost, key), so the
-   winner is independent of enumeration order — the property that makes
-   the domain-parallel search bit-identical to the sequential one. *)
+   winner is independent of visitation order — the property that lets a
+   ranker permute the enumeration without changing the program. *)
 type tie_key = Pattern.t * int list * int list * int
 
 let choice_key (ch : choice) : tie_key =
@@ -108,29 +132,21 @@ let choice_key (ch : choice) : tie_key =
     List.map (fun (e : Kernel_set.entry) -> e.rank) ch.c_pins,
     match ch.c_fill with Some e -> e.rank | None -> -1 )
 
-(* One enumeration unit of the candidate space: a pattern together with
-   one pinned primary kernel (or the whole of Pattern I). Units run
-   sequentially in configuration order within one search — since the
-   coarse-grain rework, the pool's grain is whole shapes
-   ({!search_batch}), never units — but each still carries its own
-   counters so the deadline quota stays a per-unit budget; the
-   best-single memo is shared across units. *)
-type unit_state = {
-  mutable l_best : (float * tie_key * choice) option;
-  mutable l_cand : int;
-  mutable l_pruned : int;
-  mutable l_pruned_a : int;  (** skipped unscored by the analytic filters *)
-  l_quota : int;  (** candidate budget for this unit; [max_int] = none *)
-  mutable l_truncated : bool;  (** the quota cut enumeration short *)
-  memo : (int * int, Kernel_set.entry * float) Hashtbl.t;
-}
-
-type unit_result = {
-  u_best : (float * tie_key * choice) option;
-  u_cand : int;
-  u_pruned : int;
-  u_pruned_a : int;
-  u_truncated : bool;
+(* The whole mutable state of one search. The enumeration units (a
+   pattern together with one pinned primary kernel, or the whole of
+   Pattern I) run one after another, so one record carries the bound,
+   the incumbent and every tally; only the deadline quota is per unit,
+   through [unit_cand]. *)
+type search_state = {
+  mutable bound : float;
+      (** lowest full-candidate cost recorded so far; non-increasing *)
+  mutable best : (float * tie_key * choice) option;
+  mutable scored : int;
+  mutable first_hit : int;  (** [scored] when [best] was last replaced *)
+  mutable pruned : int;
+  mutable pruned_analytic : int;  (** skipped unscored by the analytic filters *)
+  mutable unit_cand : int;  (** candidates scored in the current unit *)
+  mutable truncated : bool;  (** a unit's quota cut enumeration short *)
 }
 
 let search ?shared_view ~scorer ~instrument ~tracing (set : Kernel_set.t)
@@ -163,19 +179,10 @@ let search ?shared_view ~scorer ~instrument ~tracing (set : Kernel_set.t)
     | Calibrated f -> fun e x -> Float.max 0. (f e x)
     | Model _ | Simulate | Simulate_on _ -> fun _ x -> x
   in
-  (* The reduction extent is fixed for the whole compile, so each kernel's
-     f_pipe = g_predict(⌈K/uK⌉) is a constant: precompute it and keep the
-     per-candidate scoring allocation-free. *)
-  let pipe = Array.map (fun e -> Cost_model.f_pipe e ~k_len:k) entries in
-  (* Every region is a separate kernel launch on the device; charging it
-     in the search keeps tiny operators on single-region programs (the
-     overhead-consciousness that leads the paper to restrict GPU pattern
-     use, Section 4). *)
-  let launch =
-    if config.search_launch_term then
-      set.hw.Hardware.launch_overhead_s *. set.hw.clock_hz
-    else 0.
-  in
+  (* Precomputed per kernel, so the per-candidate scoring stays
+     allocation-free. *)
+  let pipe = pipe_terms set k in
+  let launch = launch_term set config in
   let icount = Operator.instance_count op in
   let rcost_dims (e : Kernel_set.entry) rows cols =
     let tasks = icount * (ceil_div rows e.desc.um * ceil_div cols e.desc.un) in
@@ -211,7 +218,7 @@ let search ?shared_view ~scorer ~instrument ~tracing (set : Kernel_set.t)
   let primaries = take config.primary_kernels in
   let secondaries = take config.secondary_kernels in
   (* Deadline budget: one fixed quota per enumeration unit, computed
-     before any unit runs so it cannot depend on scheduling. *)
+     before any unit runs. *)
   let n_units =
     List.fold_left
       (fun acc (p : Pattern.t) ->
@@ -259,27 +266,23 @@ let search ?shared_view ~scorer ~instrument ~tracing (set : Kernel_set.t)
         idx;
     idx
   in
-  (* Shared branch-and-bound state: the lowest full-candidate cost found
-     by any domain so far. Monotonically non-increasing, so pruning a
-     partial sum that strictly exceeds it can never discard a candidate
-     tying the eventual minimum — which keeps the winner (and its
-     tie-break) independent of domain scheduling. *)
-  let bound = Atomic.make infinity in
-  let rec lower_bound c =
-    let b = Atomic.get bound in
-    if c < b && not (Atomic.compare_and_set bound b c) then lower_bound c
+  let st =
+    {
+      bound = infinity;
+      best = None;
+      scored = 0;
+      first_hit = 0;
+      pruned = 0;
+      pruned_analytic = 0;
+      unit_cand = 0;
+      truncated = false;
+    }
   in
-  (* Analytic pre-pruning (Strategy_space). Sound only under the plain
-     Eq.-2 Full objective: calibrated corrections are arbitrary per-kernel
-     functions that break cross-kernel dominance, the ablated objectives
-     reorder costs, and simulator cycles are not Eq.-2 costs at all. All
-     three filters preserve the total tie-break order, so the chosen
-     program is bit-identical with pruning on or off
-     ([Selfcheck.check_prune] is the oracle). *)
-  let analytic =
-    config.analytic_prune
-    && (match scorer with Model Cost_model.Full -> true | _ -> false)
-  in
+  (* The bound only ever falls, so pruning a partial sum that strictly
+     exceeds it can never discard a candidate tying the eventual
+     minimum. *)
+  let lower_bound c = if c < st.bound then st.bound <- c in
+  let analytic = analytic_prunes config scorer in
   let view =
     if analytic then
       (* [search_batch] precomputes one view per distinct reduction extent
@@ -306,29 +309,12 @@ let search ?shared_view ~scorer ~instrument ~tracing (set : Kernel_set.t)
      Pattern I is actually explored. *)
   if analytic && List.mem Pattern.I config.patterns then
     lower_bound p1.(by_p1.(0));
-  (* The best-single memo is shared by every unit: units run sequentially
-     now, and [best_single] is a pure function of the extent. *)
-  let shared_memo = Hashtbl.create 64 in
-  let fresh_state ~quota () =
-    {
-      l_best = None;
-      l_cand = 0;
-      l_pruned = 0;
-      l_pruned_a = 0;
-      l_quota = quota;
-      l_truncated = false;
-      memo = shared_memo;
-    }
-  in
   (* One check per candidate: a unit whose quota is spent skips its
-     remaining candidates (recorded as truncation, not pruning). The
-     per-unit candidate sequence is enumeration-order-fixed and
-     jobs-independent, so the cut lands on the same candidate
-     everywhere. *)
-  let budget_ok st =
-    if st.l_cand < st.l_quota then true
+     remaining candidates (recorded as truncation, not pruning). *)
+  let budget_ok () =
+    if st.unit_cand < quota then true
     else begin
-      st.l_truncated <- true;
+      st.truncated <- true;
       false
     end
   in
@@ -336,9 +322,10 @@ let search ?shared_view ~scorer ~instrument ~tracing (set : Kernel_set.t)
      entries are skipped: the dominator costs no more and sits at a lower
      index, so the lowest-index argmin is unchanged — entry 0 (rank 0) is
      always live, so the scan never comes up empty. *)
-  let best_single st rows cols =
+  let memo = Hashtbl.create 64 in
+  let best_single rows cols =
     let key = (rows, cols) in
-    match Hashtbl.find_opt st.memo key with
+    match Hashtbl.find_opt memo key with
     | Some hit -> hit
     | None ->
       let best_e = ref entries.(0) and best_c = ref infinity in
@@ -352,35 +339,27 @@ let search ?shared_view ~scorer ~instrument ~tracing (set : Kernel_set.t)
         end
       done;
       let hit = (!best_e, !best_c) in
-      Hashtbl.add st.memo key hit;
+      Hashtbl.add memo key hit;
       hit
   in
-  (* [scored] counts candidates actually scored, across all units of this
-     search (units run sequentially, so a plain ref is deterministic);
-     [g_first] remembers the count at the moment the eventual winner was
+  let count () =
+    st.unit_cand <- st.unit_cand + 1;
+    st.scored <- st.scored + 1
+  in
+  (* [first_hit] remembers [scored] at the moment the eventual winner was
      first recorded — the "candidates scored to reach the program" the
      ranker is judged on. *)
-  let scored = ref 0 in
-  let g_best = ref None in
-  let g_first = ref 0 in
-  let count st =
-    st.l_cand <- st.l_cand + 1;
-    incr scored
-  in
-  let record st cost choice =
+  let record cost choice =
     let key = choice_key choice in
-    (match st.l_best with
+    (match st.best with
     | Some (bc, bk, _) when (bc, bk) <= (cost, key) -> ()
-    | _ -> st.l_best <- Some (cost, key, choice));
-    (match !g_best with
-    | Some (bc, bk) when (bc, bk) <= (cost, key) -> ()
     | _ ->
-      g_best := Some (cost, key);
-      g_first := !scored);
+      st.best <- Some (cost, key, choice);
+      st.first_hit <- st.scored);
     lower_bound cost
   in
   (* Resolve a choice into concrete (rect, kernel) pairs. *)
-  let resolve st (ch : choice) =
+  let resolve (ch : choice) =
     match Pattern.decompose ch.c_pattern ~m ~n ~cuts:ch.c_cuts with
     | None -> None
     | Some rects ->
@@ -391,7 +370,7 @@ let search ?shared_view ~scorer ~instrument ~tracing (set : Kernel_set.t)
           let e =
             match ch.c_fill with
             | Some e -> e
-            | None -> fst (best_single st r.rows r.cols)
+            | None -> fst (best_single r.rows r.cols)
           in
           (r, e) :: zip rs []
         | r :: rs, p :: ps -> (r, p) :: zip rs ps
@@ -399,15 +378,15 @@ let search ?shared_view ~scorer ~instrument ~tracing (set : Kernel_set.t)
       Some (zip rects ch.c_pins)
   in
   (* Model scoring of a generic (multi-cut) choice, with region-order
-     pruning against the global bound. Pruning is strict (>): a partial
-     sum equal to the incumbent may still win the tie-break.
+     pruning against the bound. Pruning is strict (>): a partial sum
+     equal to the incumbent may still win the tie-break.
 
      Analytic gate (before the candidate is counted or any free region
      resolved): pinned regions at their exact cost plus free regions at
      their pipeline-depth floor already lower-bound the candidate, so
      strictly exceeding the achievable bound proves it cannot win — the
      expensive best-single scans for the free regions never happen. *)
-  let score_choice_model st (ch : choice) =
+  let score_choice_model (ch : choice) =
     let gated =
       analytic
       && (match Pattern.decompose ch.c_pattern ~m ~n ~cuts:ch.c_cuts with
@@ -421,30 +400,30 @@ let search ?shared_view ~scorer ~instrument ~tracing (set : Kernel_set.t)
              | (r : Pattern.rect) :: rs, [] ->
                lb (acc +. floor_cost r.rows r.cols) rs []
            in
-           lb 0. rects ch.c_pins > Atomic.get bound)
+           lb 0. rects ch.c_pins > st.bound)
     in
-    if gated then st.l_pruned_a <- st.l_pruned_a + 1
+    if gated then st.pruned_analytic <- st.pruned_analytic + 1
     else
-      match resolve st ch with
+      match resolve ch with
       | None -> ()
-      | Some _ when not (budget_ok st) -> ()
+      | Some _ when not (budget_ok ()) -> ()
       | Some assignment ->
-        count st;
-        let limit = Atomic.get bound in
+        count ();
+        let limit = st.bound in
         let rec go acc = function
-          | [] -> record st acc ch
+          | [] -> record acc ch
           | ((r : Pattern.rect), e) :: rest ->
             let acc = acc +. rcost_dims e r.rows r.cols in
-            if acc > limit then st.l_pruned <- st.l_pruned + 1 else go acc rest
+            if acc > limit then st.pruned <- st.pruned + 1 else go acc rest
         in
         go 0. assignment
   in
-  let score_choice_simulate st (ch : choice) =
-    match resolve st ch with
+  let score_choice_simulate (ch : choice) =
+    match resolve ch with
     | None -> ()
-    | Some _ when not (budget_ok st) -> ()
+    | Some _ when not (budget_ok ()) -> ()
     | Some assignment ->
-      count st;
+      count ();
       let regions =
         List.map
           (fun ((r : Pattern.rect), (e : Kernel_set.entry)) ->
@@ -458,21 +437,21 @@ let search ?shared_view ~scorer ~instrument ~tracing (set : Kernel_set.t)
         Load.make ~regions ~footprint_bytes:(Operator.footprint_bytes op)
       in
       let hw = match sim_hw with Some hw -> hw | None -> set.hw in
-      record st (Simulator.run hw load).cycles ch
+      record (Simulator.run hw load).cycles ch
   in
   let choice pattern cuts pins fill =
     { c_pattern = pattern; c_cuts = cuts; c_pins = pins; c_fill = fill }
   in
   (* Under the oracle, a choice with free slots is additionally enumerated
      with every secondary kernel as a uniform fill. *)
-  let consider st ?(has_free = false) pattern cuts pins =
+  let consider ?(has_free = false) pattern cuts pins =
     match sim_hw with
-    | None -> score_choice_model st (choice pattern cuts pins None)
+    | None -> score_choice_model (choice pattern cuts pins None)
     | Some _ ->
-      score_choice_simulate st (choice pattern cuts pins None);
+      score_choice_simulate (choice pattern cuts pins None);
       if has_free then
         Array.iter
-          (fun e -> score_choice_simulate st (choice pattern cuts pins (Some e)))
+          (fun e -> score_choice_simulate (choice pattern cuts pins (Some e)))
           secondaries
   in
   (* Fast allocation-free path for Pattern I (a single unit). Under the
@@ -480,76 +459,78 @@ let search ?shared_view ~scorer ~instrument ~tracing (set : Kernel_set.t)
      matter are counted: a dominated entry loses to its dominator
      including the tie-break, and an entry strictly above the achievable
      bound cannot win — both skips keep the recorded winner identical. *)
-  let pattern_one st =
+  let pattern_one () =
     match sim_hw with
     | None ->
       for ii = 0 to n_entries - 1 do
         let i = entry_order.(ii) in
-        if analytic && (not (live_ok i) || p1.(i) > Atomic.get bound) then
-          st.l_pruned_a <- st.l_pruned_a + 1
-        else if budget_ok st then begin
-          count st;
-          record st p1.(i) (choice I [] [ entries.(i) ] None)
+        if analytic && (not (live_ok i) || p1.(i) > st.bound) then
+          st.pruned_analytic <- st.pruned_analytic + 1
+        else if budget_ok () then begin
+          count ();
+          record p1.(i) (choice I [] [ entries.(i) ] None)
         end
       done
     | Some _ ->
-      Array.iter (fun e -> score_choice_simulate st (choice I [] [ e ] None)) entries
+      Array.iter (fun e -> score_choice_simulate (choice I [] [ e ] None)) entries
   in
-  let pattern_two st (e1 : Kernel_set.entry) =
+  let pattern_two (e1 : Kernel_set.entry) =
     List.iter
       (fun r ->
         match sim_hw with
         | None ->
           let c1 = rcost_dims e1 r n in
-          if analytic && c1 +. floor_cost (m - r) n > Atomic.get bound then
-            st.l_pruned_a <- st.l_pruned_a + 1
-          else if budget_ok st then begin
-            count st;
-            if c1 > Atomic.get bound then st.l_pruned <- st.l_pruned + 1
+          if analytic && c1 +. floor_cost (m - r) n > st.bound then
+            st.pruned_analytic <- st.pruned_analytic + 1
+          else if budget_ok () then begin
+            count ();
+            if c1 > st.bound then st.pruned <- st.pruned + 1
             else begin
-              let e2, c2 = best_single st (m - r) n in
-              record st (c1 +. c2) (choice II [ r ] [ e1; e2 ] None)
+              let e2, c2 = best_single (m - r) n in
+              record (c1 +. c2) (choice II [ r ] [ e1; e2 ] None)
             end
           end
-        | Some _ -> consider st ~has_free:true II [ r ] [ e1 ])
+        | Some _ -> consider ~has_free:true II [ r ] [ e1 ])
       (row_cuts ~style:config.cut_style e1 ~rows:m ~cols:n ~max_cuts:config.max_cuts)
   in
-  let pattern_three st (e1 : Kernel_set.entry) =
+  let pattern_three (e1 : Kernel_set.entry) =
     List.iter
       (fun c ->
         match sim_hw with
         | None ->
           let c1 = rcost_dims e1 m c in
-          if analytic && c1 +. floor_cost m (n - c) > Atomic.get bound then
-            st.l_pruned_a <- st.l_pruned_a + 1
-          else if budget_ok st then begin
-            count st;
-            if c1 > Atomic.get bound then st.l_pruned <- st.l_pruned + 1
+          if analytic && c1 +. floor_cost m (n - c) > st.bound then
+            st.pruned_analytic <- st.pruned_analytic + 1
+          else if budget_ok () then begin
+            count ();
+            if c1 > st.bound then st.pruned <- st.pruned + 1
             else begin
-              let e2, c2 = best_single st m (n - c) in
-              record st (c1 +. c2) (choice III [ c ] [ e1; e2 ] None)
+              let e2, c2 = best_single m (n - c) in
+              record (c1 +. c2) (choice III [ c ] [ e1; e2 ] None)
             end
           end
-        | Some _ -> consider st ~has_free:true III [ c ] [ e1 ])
+        | Some _ -> consider ~has_free:true III [ c ] [ e1 ])
       (col_cuts ~style:config.cut_style e1 ~rows:m ~cols:n ~max_cuts:config.max_cuts)
   in
-  let two_cut_pattern st pattern (e1 : Kernel_set.entry) =
+  let two_cut_pattern pattern (e1 : Kernel_set.entry) =
     let rcs = row_cuts ~style:config.cut_style e1 ~rows:m ~cols:n ~max_cuts:config.max_cuts in
     let ccs = col_cuts ~style:config.cut_style e1 ~rows:m ~cols:n ~max_cuts:config.max_cuts in
     List.iter
       (fun r ->
         List.iter
-          (fun c -> consider st ~has_free:true pattern [ r; c ] [ e1 ])
+          (fun c -> consider ~has_free:true pattern [ r; c ] [ e1 ])
           ccs)
       rcs
   in
-  let run_unit_body st (pattern : Pattern.t) (e1 : Kernel_set.entry option) =
+  (* One enumeration unit; its deadline quota starts afresh. *)
+  let run_unit ((pattern : Pattern.t), e1) =
+    st.unit_cand <- 0;
     match (pattern, e1) with
-    | I, _ -> pattern_one st
+    | I, _ -> pattern_one ()
     | _, None -> assert false
-    | II, Some e1 -> pattern_two st e1
-    | III, Some e1 -> pattern_three st e1
-    | (IV | V | VI), Some e1 -> two_cut_pattern st pattern e1
+    | II, Some e1 -> pattern_two e1
+    | III, Some e1 -> pattern_three e1
+    | (IV | V | VI), Some e1 -> two_cut_pattern pattern e1
     | VII, Some e1 ->
       List.iter
         (fun r1 ->
@@ -558,7 +539,7 @@ let search ?shared_view ~scorer ~instrument ~tracing (set : Kernel_set.t)
               List.iter
                 (fun dr ->
                   if r1 + dr < m then
-                    consider st ~has_free:true VII [ r1; r1 + dr ] [ e1; e2 ])
+                    consider ~has_free:true VII [ r1; r1 + dr ] [ e1; e2 ])
                 (row_cuts ~style:config.cut_style e2 ~rows:(m - r1) ~cols:n ~max_cuts:2))
             secondaries)
         (row_cuts ~style:config.cut_style e1 ~rows:m ~cols:n ~max_cuts:config.max_cuts)
@@ -570,7 +551,7 @@ let search ?shared_view ~scorer ~instrument ~tracing (set : Kernel_set.t)
               List.iter
                 (fun dc ->
                   if c1 + dc < n then
-                    consider st ~has_free:true VIII [ c1; c1 + dc ] [ e1; e2 ])
+                    consider ~has_free:true VIII [ c1; c1 + dc ] [ e1; e2 ])
                 (col_cuts ~style:config.cut_style e2 ~rows:m ~cols:(n - c1) ~max_cuts:2))
             secondaries)
         (col_cuts ~style:config.cut_style e1 ~rows:m ~cols:n ~max_cuts:config.max_cuts)
@@ -580,28 +561,17 @@ let search ?shared_view ~scorer ~instrument ~tracing (set : Kernel_set.t)
           Array.iter
             (fun (e2 : Kernel_set.entry) ->
               List.iter
-                (fun c -> consider st ~has_free:true IX [ r; c ] [ e1; e2 ])
+                (fun c -> consider ~has_free:true IX [ r; c ] [ e1; e2 ])
                 (col_cuts ~style:config.cut_style e2 ~rows:(m - r) ~cols:n ~max_cuts:2))
             secondaries)
         (row_cuts ~style:config.cut_style e1 ~rows:m ~cols:n ~max_cuts:config.max_cuts)
   in
-  let run_unit (pattern, e1) =
-    let st = fresh_state ~quota () in
-    run_unit_body st pattern e1;
-    {
-      u_best = st.l_best;
-      u_cand = st.l_cand;
-      u_pruned = st.l_pruned;
-      u_pruned_a = st.l_pruned_a;
-      u_truncated = st.l_truncated;
-    }
-  in
   (* The candidate space, flattened to (pattern × primary) units in
      configuration order. Units run sequentially: per-unit pool
-     submissions lost to dispatch overhead (the pre-rework bench showed
-     0.28× at jobs=2), so the pool's grain is now whole shapes — see
-     {!search_batch}. Sequential units also make the bound's evolution,
-     and with it every per-search tally, deterministic. *)
+     submissions lost to dispatch overhead (0.28× at jobs=2 when units
+     were fanned over domains), so the pool's grain is whole shapes —
+     see {!search_batch}. Sequential units also make the bound's
+     evolution, and with it every per-search tally, deterministic. *)
   let units =
     Array.of_list
       (List.concat_map
@@ -643,77 +613,37 @@ let search ?shared_view ~scorer ~instrument ~tracing (set : Kernel_set.t)
       Array.map (fun (_, _, u) -> u) keyed
     end
   in
-  let results =
-    if not tracing then Array.map run_unit units
-    else begin
-      (* Tracing keeps the per-pattern child spans: units of one pattern
-         are contiguous by construction (a ranker permutation may split a
-         pattern across several runs, which just yields several spans). *)
-      let res =
-        Array.make (Array.length units)
-          {
-            u_best = None;
-            u_cand = 0;
-            u_pruned = 0;
-            u_pruned_a = 0;
-            u_truncated = false;
-          }
-      in
-      let i = ref 0 in
-      let n_units = Array.length units in
-      while !i < n_units do
-        let p = fst units.(!i) in
-        Tm.Tracer.with_span ("polymerize.pattern." ^ Pattern.to_string p)
-          (fun () ->
-            let c0 = ref 0 and p0 = ref 0 and a0 = ref 0 in
-            while !i < n_units && fst units.(!i) = p do
-              let r = run_unit units.(!i) in
-              res.(!i) <- r;
-              c0 := !c0 + r.u_cand;
-              p0 := !p0 + r.u_pruned;
-              a0 := !a0 + r.u_pruned_a;
-              incr i
-            done;
-            Tm.Tracer.annotate "candidates" (string_of_int !c0);
-            Tm.Tracer.annotate "pruned" (string_of_int !p0);
-            Tm.Tracer.annotate "pruned_analytic" (string_of_int !a0))
-      done;
-      res
-    end
-  in
-  let merge (best, cand, pruned, pruned_a, trunc) (r : unit_result) =
-    let best =
-      match (best, r.u_best) with
-      | None, b | b, None -> b
-      | (Some (bc, bk, _) as cur), (Some (rc, rk, _) as inc) ->
-        if (rc, rk) < (bc, bk) then inc else cur
-    in
-    ( best,
-      cand + r.u_cand,
-      pruned + r.u_pruned,
-      pruned_a + r.u_pruned_a,
-      trunc || r.u_truncated )
-  in
-  let best, candidates, pruned, pruned_analytic, deadline_hit =
-    Array.fold_left merge (None, 0, 0, 0, false) results
-  in
+  if not tracing then Array.iter run_unit units
+  else begin
+    (* Tracing keeps the per-pattern child spans: units of one pattern
+       are contiguous by construction (a ranker permutation may split a
+       pattern across several runs, which just yields several spans).
+       Each span annotates what its units added to the tallies. *)
+    let i = ref 0 in
+    let n_units = Array.length units in
+    while !i < n_units do
+      let p = fst units.(!i) in
+      Tm.Tracer.with_span ("polymerize.pattern." ^ Pattern.to_string p)
+        (fun () ->
+          let c0 = st.scored and p0 = st.pruned and a0 = st.pruned_analytic in
+          while !i < n_units && fst units.(!i) = p do
+            run_unit units.(!i);
+            incr i
+          done;
+          Tm.Tracer.annotate "candidates" (string_of_int (st.scored - c0));
+          Tm.Tracer.annotate "pruned" (string_of_int (st.pruned - p0));
+          Tm.Tracer.annotate "pruned_analytic"
+            (string_of_int (st.pruned_analytic - a0)))
+    done
+  end;
   (* Pattern I is always feasible; make sure it was explored even when the
      configuration omits it and every split pattern degenerated. *)
-  let best, candidates, pruned, pruned_analytic, deadline_hit =
-    match best with
-    | Some _ -> (best, candidates, pruned, pruned_analytic, deadline_hit)
-    | None ->
-      merge
-        (best, candidates, pruned, pruned_analytic, deadline_hit)
-        (run_unit (Pattern.I, None))
-  in
-  let cost, _, winner = match best with Some x -> x | None -> assert false in
+  if st.best = None then run_unit (Pattern.I, None);
+  let cost, _, winner = match st.best with Some x -> x | None -> assert false in
   let assignment =
-    (* Resolution only materializes the winner; it scores nothing, so it
-       runs outside any budget. *)
-    match resolve (fresh_state ~quota:max_int ()) winner with
-    | Some a -> a
-    | None -> assert false
+    (* Resolution only materializes the winner; it scores nothing, so no
+       budget applies. *)
+    match resolve winner with Some a -> a | None -> assert false
   in
   let regions =
     List.map
@@ -730,12 +660,12 @@ let search ?shared_view ~scorer ~instrument ~tracing (set : Kernel_set.t)
     program;
     predicted_cost = cost;
     pattern = winner.c_pattern;
-    candidates;
-    pruned;
-    pruned_analytic;
+    candidates = st.scored;
+    pruned = st.pruned;
+    pruned_analytic = st.pruned_analytic;
     search_seconds = Unix.gettimeofday () -. t0;
-    deadline_hit;
-    first_hit = !g_first;
+    deadline_hit = st.truncated;
+    first_hit = st.first_hit;
   }
 
 let polymerize_with ?shared_view ?(scorer = Model Cost_model.Full)
@@ -767,13 +697,7 @@ let polymerize_with ?shared_view ?(scorer = Model Cost_model.Full)
         finish c)
   end
 
-let polymerize ?scorer ?instrument ?jobs:(_ = 1) (set : Kernel_set.t)
-    (config : Config.t) op =
-  (* [jobs] is accepted for compatibility: since the coarse-grain rework a
-     single-shape search always runs its units sequentially (the
-     per-unit pool dispatch it used to pay was the slowdown the parallel
-     bench measured); parallelism across shapes lives in
-     {!search_batch}. *)
+let polymerize ?scorer ?instrument (set : Kernel_set.t) (config : Config.t) op =
   polymerize_with ?scorer ?instrument set config op
 
 (* Batched suite search: one pool region over whole shapes. Each shape's
@@ -802,28 +726,20 @@ let search_batch ?(scorer = Model Cost_model.Full) ?(instrument = true) ?jobs
      the scorer/config combination that would build a view anyway
      qualifies — the table stays [None] otherwise. *)
   let shared_views =
-    let analytic =
-      config.analytic_prune
-      && (match scorer with Model Cost_model.Full -> true | _ -> false)
-    in
-    if (not analytic) || n = 0 || Array.length set.entries = 0 then None
+    if (not (analytic_prunes config scorer))
+       || n = 0
+       || Array.length set.entries = 0
+    then None
     else begin
-      let launch =
-        if config.search_launch_term then
-          set.hw.Hardware.launch_overhead_s *. set.hw.clock_hz
-        else 0.
-      in
+      let launch = launch_term set config in
       let sk = Strategy_space.skeleton set in
       let tbl = Hashtbl.create 8 in
       Array.iter
         (fun op ->
           let _, _, kk = Operator.gemm_shape op in
-          if not (Hashtbl.mem tbl kk) then begin
-            let pipe =
-              Array.map (fun e -> Cost_model.f_pipe e ~k_len:kk) set.entries
-            in
-            Hashtbl.add tbl kk (Strategy_space.view sk set ~pipe ~launch)
-          end)
+          if not (Hashtbl.mem tbl kk) then
+            Hashtbl.add tbl kk
+              (Strategy_space.view sk set ~pipe:(pipe_terms set kk) ~launch))
         ops;
       Some tbl
     end

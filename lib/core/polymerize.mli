@@ -69,21 +69,18 @@ val col_cuts :
   cols:int -> max_cuts:int -> int list
 
 val polymerize :
-  ?scorer:scorer -> ?instrument:bool -> ?jobs:int -> Kernel_set.t ->
-  Config.t -> Mikpoly_ir.Operator.t -> compiled
+  ?scorer:scorer -> ?instrument:bool -> Kernel_set.t -> Config.t ->
+  Mikpoly_ir.Operator.t -> compiled
 (** Raises [Invalid_argument] on an empty kernel set. The result is always
     a valid program for the exact runtime shape — MikPoly has no
     out-of-range failure mode.
 
-    A single-shape search runs its (pattern × primary kernel) units
-    sequentially in configuration order: per-unit pool submissions were
-    far too fine for the pool's dispatch overhead (the pre-rework bench
-    measured 0.28× at jobs=2), so the pool's grain is now whole shapes —
-    see {!search_batch}. [jobs] is accepted for compatibility and does
-    not affect the search; the chosen program, [predicted_cost] {e and}
-    every tally are therefore trivially bit-identical at every job
-    count, and the [candidates]/[pruned]/[pruned_analytic] tallies are
-    always exact.
+    A single-shape search is one sequential pass: its (pattern × primary
+    kernel) units run one after another against one running bound, so
+    the chosen program, [predicted_cost] and every tally are
+    deterministic. Per-unit pool submissions were far too fine for the
+    pool's dispatch overhead (0.28× at jobs=2), so parallelism lives
+    across shapes — see {!search_batch}.
 
     With [Config.analytic_prune] (default) and the plain [Model Full]
     scorer, {!Strategy_space}'s filters — kernel dominance,
@@ -120,7 +117,8 @@ val search_batch :
     granularity: element [i] of the result is exactly what
     [polymerize ops.(i)] returns (each shape's search is independent and
     deterministic, so the array is bit-identical at every job count).
-    [jobs] resolves like {!polymerize}'s and is then clamped to the
+    [jobs] defaults to [Config.search_jobs] (resolved by
+    {!Mikpoly_util.Domain_pool.resolve_jobs}) and is then clamped to the
     host's concurrency ({!Mikpoly_util.Domain_pool.effective_jobs}) —
     worker domains beyond the core count only add dispatch overhead.
     Chunks carry at least [min_chunk] shapes (default 4) so dispatch

@@ -45,8 +45,7 @@ let check_prune ?config compiler ~m ~n ~k =
   let base = { base with Config.search_deadline_ms = 0. } in
   let op = Operator.gemm ~m ~n ~k () in
   let run analytic =
-    Polymerize.polymerize ~jobs:1
-      (Compiler.kernels compiler)
+    Polymerize.polymerize (Compiler.kernels compiler)
       { base with Config.analytic_prune = analytic }
       op
   in
