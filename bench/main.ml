@@ -504,9 +504,8 @@ let run_parallel_bench () =
 (* The body shared by the gated-report stages (graph, fleet, rank,
    hetero): [render ()] builds the stage's results and JSON report from
    fresh state; it runs at 1 and then at 4 worker domains and the two
-   reports must be byte-identical. Every gate — (name, holds, detail) —
-   must then hold, and the jobs=1 report is written to
-   BENCH_<name>.json. Any failure exits 1. *)
+   reports must be byte-identical. Every gate must then hold, and the
+   jobs=1 report is written to BENCH_<name>.json. Any failure exits 1. *)
 let run_gated_report name ~render ~gates =
   let module Dp = Mikpoly_util.Domain_pool in
   let saved_jobs = Dp.default_jobs () in
@@ -528,14 +527,8 @@ let run_gated_report name ~render ~gates =
         result)
   in
   let gs = gates r in
-  (match List.filter (fun (_, ok, _) -> not ok) gs with
-  | [] -> ()
-  | fs ->
-    List.iter
-      (fun (gate, _, detail) ->
-        Printf.eprintf "%s bench: gate failed: %s: %s\n" name gate detail)
-      fs;
-    exit 1);
+  if not (Mikpoly_experiments.Gate.all_hold ~prefix:(name ^ " bench:") gs)
+  then exit 1;
   Printf.printf "%s bench: %d gates hold, report identical across --jobs\n"
     name (List.length gs);
   let path = Printf.sprintf "BENCH_%s.json" name in
@@ -566,10 +559,7 @@ let run_graph_bench () =
       let serving = E.serving_ab ~quick compiler in
       ( (runs, serving),
         Mikpoly_telemetry.Json.to_string (E.json ~quick runs serving) ))
-    ~gates:(fun (runs, serving) ->
-      List.map
-        (fun (g : E.gate) -> (g.gate_name, g.gate_ok, g.gate_detail))
-        (E.gates runs serving))
+    ~gates:(fun (runs, serving) -> E.gates runs serving)
 
 (* --- Online adaptation: drift scenario plus a serving SLO A/B ---
 
@@ -800,10 +790,7 @@ let run_fleet_bench () =
       let compiler = Mikpoly_core.Compiler.create Mikpoly_accel.Hardware.a100 in
       let r = E.results ~quick compiler in
       (r, Mikpoly_telemetry.Json.to_string (E.json r)))
-    ~gates:(fun r ->
-      List.map
-        (fun (g : E.gate) -> (g.gate_name, g.gate_ok, g.gate_detail))
-        (E.gates r))
+    ~gates:E.gates
 
 (* --- Learned candidate ranking: acceptance gates + jobs invariance ---
 
@@ -824,10 +811,7 @@ let run_rank_bench () =
     ~render:(fun () ->
       let r = E.results ~quick in
       (r, Mikpoly_telemetry.Json.to_string (E.json r)))
-    ~gates:(fun r ->
-      List.map
-        (fun (g : E.gate) -> (g.gate_name, g.gate_ok, g.gate_detail))
-        (E.gates r))
+    ~gates:E.gates
 
 (* --- Heterogeneous fleet: acceptance gates + jobs invariance ---
 
@@ -848,10 +832,7 @@ let run_hetero_bench () =
     ~render:(fun () ->
       let r = E.results ~quick in
       (r, Mikpoly_telemetry.Json.to_string (E.json r)))
-    ~gates:(fun r ->
-      List.map
-        (fun (g : E.gate) -> (g.gate_name, g.gate_ok, g.gate_detail))
-        (E.gates r))
+    ~gates:E.gates
 
 let () =
   let stages =

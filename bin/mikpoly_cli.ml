@@ -507,6 +507,22 @@ let chaos jobs seed quick csv out =
        generic rung) on a corrupted kernel store"
   else 0
 
+(* The tail shared by the gated subcommands (graph, fleet, hetero,
+   rank): print the report (or its tables as CSV), write the JSON report
+   to [out], and return exit code 1 if any acceptance gate fails. *)
+let emit_gated ~name ~csv ~out report json gates =
+  if csv then
+    List.iter
+      (fun t -> print_endline (Mikpoly_util.Table.to_csv t))
+      report.Mikpoly_experiments.Exp.tables
+  else print_string (Mikpoly_experiments.Exp.render report);
+  let oc = open_out out in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> output_string oc (Mikpoly_telemetry.Json.to_string json));
+  Printf.printf "wrote %s\n" out;
+  if Mikpoly_experiments.Gate.all_hold ~prefix:name gates then 0 else 1
+
 (* Whole-model graph serving: rewrite passes, memory planning and
    pipelined compile/execute per model, plus the whole-graph vs
    per-operator serving A/B, with the acceptance gates asserted hard.
@@ -519,28 +535,8 @@ let graph jobs quick csv out =
   let compiler = Mikpoly_experiments.Backends.gpu () in
   let runs = E.model_runs ~quick compiler in
   let serving = E.serving_ab ~quick compiler in
-  let report = E.report runs serving in
-  if csv then
-    List.iter
-      (fun t -> print_endline (Mikpoly_util.Table.to_csv t))
-      report.Mikpoly_experiments.Exp.tables
-  else print_string (Mikpoly_experiments.Exp.render report);
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc
-        (Mikpoly_telemetry.Json.to_string (E.json ~quick runs serving)));
-  Printf.printf "wrote %s\n" out;
-  match E.failed_gates (E.gates runs serving) with
-  | [] -> 0
-  | fs ->
-    List.iter
-      (fun (g : E.gate) ->
-        Printf.eprintf "graph gate failed: %s: %s\n" g.E.gate_name
-          g.E.gate_detail)
-      fs;
-    1
+  emit_gated ~name:"graph" ~csv ~out (E.report runs serving)
+    (E.json ~quick runs serving) (E.gates runs serving)
 
 (* Multi-tenant fleet serving: the WFQ / coalescing / warm-store /
    autoscaler ladder against the tenant-blind scheduler on a heavy-tail
@@ -591,27 +587,7 @@ let fleet jobs quick csv out store ranker =
       compiler
   in
   let r = E.results ~quick compiler in
-  let report = E.report r in
-  if csv then
-    List.iter
-      (fun t -> print_endline (Mikpoly_util.Table.to_csv t))
-      report.Mikpoly_experiments.Exp.tables
-  else print_string (Mikpoly_experiments.Exp.render report);
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Mikpoly_telemetry.Json.to_string (E.json r)));
-  Printf.printf "wrote %s\n" out;
-  match E.failed_gates (E.gates r) with
-  | [] -> 0
-  | fs ->
-    List.iter
-      (fun (g : E.gate) ->
-        Printf.eprintf "fleet gate failed: %s: %s\n" g.E.gate_name
-          g.E.gate_detail)
-      fs;
-    1
+  emit_gated ~name:"fleet" ~csv ~out (E.report r) (E.json r) (E.gates r)
 
 (* Heterogeneous mixed GPU+NPU fleet serving: device-class-keyed
    stores, cost-model routing, the per-class health plane (breaker,
@@ -624,29 +600,7 @@ let hetero jobs quick csv out =
   set_jobs jobs;
   let module E = Mikpoly_experiments.Exp_hetero in
   let r = E.results ~quick in
-  let report = E.report r in
-  if csv then
-    List.iter
-      (fun t -> print_endline (Mikpoly_util.Table.to_csv t))
-      report.Mikpoly_experiments.Exp.tables
-  else print_string (Mikpoly_experiments.Exp.render report);
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Mikpoly_telemetry.Json.to_string (E.json r)));
-  Printf.printf "wrote %s
-" out;
-  match E.failed_gates (E.gates r) with
-  | [] -> 0
-  | fs ->
-    List.iter
-      (fun (g : E.gate) ->
-        Printf.eprintf "hetero gate failed: %s: %s
-" g.E.gate_name
-          g.E.gate_detail)
-      fs;
-    1
+  emit_gated ~name:"hetero" ~csv ~out (E.report r) (E.json r) (E.gates r)
 
 (* Train and evaluate the learned candidate-ordering ranker (lib/rank):
    harvest simulator observations on both platforms, fit the
@@ -661,31 +615,15 @@ let rank jobs seed quick csv out save =
   set_seed seed;
   let module E = Mikpoly_experiments.Exp_rank in
   let r = E.results ~quick in
-  let report = E.report r in
-  if csv then
-    List.iter
-      (fun t -> print_endline (Mikpoly_util.Table.to_csv t))
-      report.Mikpoly_experiments.Exp.tables
-  else print_string (Mikpoly_experiments.Exp.render report);
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Mikpoly_telemetry.Json.to_string (E.json r)));
-  Printf.printf "wrote %s\n" out;
+  let code =
+    emit_gated ~name:"rank" ~csv ~out (E.report r) (E.json r) (E.gates r)
+  in
   (match save with
   | Some path ->
     Mikpoly_rank.Ranker.save ~path r.E.r_gpu_ranker;
     Printf.printf "saved ranker model to %s\n" path
   | None -> ());
-  match E.failed_gates (E.gates r) with
-  | [] -> 0
-  | fs ->
-    List.iter
-      (fun (g : E.gate) ->
-        Printf.eprintf "rank gate failed: %s: %s\n" g.E.gate_name
-          g.E.gate_detail)
-      fs;
-    1
+  code
 
 (* Run a target under the span tracer and export the observability
    artifacts: a Chrome/Perfetto trace, the flat profile and the metrics

@@ -21,6 +21,22 @@ if grep -q "Warning" "$build_log"; then
 fi
 rm -f "$build_log"
 
+echo "== lock guard =="
+# The program runs one parallel region: whole-shape searches in
+# Polymerize.search_batch, plus the autotuner's per-kernel scoring. Its
+# workers touch no lock-guarded state (the worker contract in
+# polymerize.mli), so locks, condition variables and domain spawns
+# belong only in the pool itself, the domain-safe telemetry and the
+# kernel-set memo.
+stray=$(grep -rn --include='*.ml' -e 'Mutex\.' -e 'Condition\.' -e 'Domain\.spawn' lib |
+  grep -v -e '^lib/util/domain_pool\.ml:' -e '^lib/telemetry/metrics\.ml:' \
+    -e '^lib/telemetry/tracer\.ml:' -e '^lib/core/kernel_set\.ml:' || true)
+if [ -n "$stray" ]; then
+  echo "$stray"
+  echo "lock guard: Mutex, Condition or Domain.spawn outside the allowlist"
+  exit 1
+fi
+
 echo "== dune runtest =="
 dune runtest
 
@@ -36,9 +52,9 @@ rm -f "$trace_out"
 
 echo "== multicore smoke test =="
 # The same serving and profiling paths under 4 worker domains: exercises
-# the parallel search, the concurrent precompile fan-out and the
-# domain-safe tracer; validate-trace checks the merged per-domain span
-# buffers still export a loadable Chrome trace.
+# the batched search behind the precompile phase and the domain-safe
+# tracer; validate-trace checks the merged per-domain span buffers
+# still export a loadable Chrome trace.
 dune exec bin/mikpoly_cli.exe -- serve --quick --jobs 4
 trace_out="${TMPDIR:-/tmp}/mikpoly_ci_trace_j4.json"
 dune exec bin/mikpoly_cli.exe -- profile serve --quick --jobs 4 --trace-out "$trace_out"

@@ -56,7 +56,6 @@ type t = {
   params : params;
   compiler : Compiler.t;
   registered : bool;
-  lock : Mutex.t;
   detector : Drift.t;
   windows : (Calibration.key, (float * float) list) Hashtbl.t;
   hot : (int * int * int, hot) Hashtbl.t;
@@ -72,11 +71,7 @@ type t = {
   mutable breaker_skipped : int;
 }
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-let window_sample_locked t key sample =
+let window_sample t key sample =
   let w = Option.value (Hashtbl.find_opt t.windows key) ~default:[] in
   let w = sample :: w in
   Hashtbl.replace t.windows key
@@ -97,12 +92,12 @@ let effective_fingerprint t =
 let effective_hardware t =
   match t.exec_hw with Some hw -> hw | None -> Compiler.hardware t.compiler
 
-(* Caller holds the lock. Refit all per-kernel corrections from the
+(* Refit all per-kernel corrections from the
    current observation windows, swap the compiler's scorer, invalidate
    every cached program ranked with a since-changed kernel correction and
    recompile the hottest invalidated shapes, charging the modeled search
    time to [pending_stall]. *)
-let recalibrate_locked t =
+let recalibrate t =
   let samples =
     Hashtbl.fold (fun key w acc -> (key, w) :: acc) t.windows []
     |> List.sort (fun (k1, _) (k2, _) -> compare k1 k2)
@@ -180,86 +175,82 @@ let corrected_prediction t (obs : Compiler.observation) =
     0. obs.ob_regions
 
 let observe t (obs : Compiler.observation) =
-  let fired =
-    locked t (fun () ->
-        t.observations <- t.observations + 1;
-        Tm.Metrics.incr m_observations;
-        List.iter
-          (fun (r : Compiler.region_observation) ->
-            window_sample_locked t (key_of_desc r.ro_kernel)
-              (r.ro_predicted, r.ro_observed))
-          obs.ob_regions;
-        (match Hashtbl.find_opt t.hot obs.ob_shape with
-        | Some h -> h.touches <- h.touches + 1
-        | None -> Hashtbl.add t.hot obs.ob_shape { touches = 1 });
-        let corrected = corrected_prediction t obs in
-        let residual =
-          if corrected > 0. && obs.ob_observed > 0. then
-            log (obs.ob_observed /. corrected)
-          else 0.
-        in
-        if
-          Drift.observe t.detector residual
-          && t.observations >= t.params.min_observations
-        then begin
-          (* The breaker's clock is the observation count — the adapter's
-             only monotone notion of time, and deterministic. *)
-          let now = float_of_int t.observations in
-          if not (Breaker.allow t.breaker ~now) then begin
-            (* Recalibration has been failing (or blowing its stall
-               budget): keep serving on the current calibration rather
-               than thrash. The detector will fire again; the first fire
-               past the cooldown is the half-open probe. *)
-            t.breaker_skipped <- t.breaker_skipped + 1;
-            Tm.Metrics.incr m_breaker_skipped;
-            false
-          end
-          else begin
-            t.drift_events <- t.drift_events + 1;
-            Tm.Metrics.incr m_drift_events;
-            (* Regime change: samples windowed before the shift describe
-               the old device and would drag the refit toward it. Drop
-               them and reseed from the observation that exposed the
-               drift; subsequent traffic and probes refill the windows
-               with the new regime. *)
-            Hashtbl.reset t.windows;
-            List.iter
-              (fun (r : Compiler.region_observation) ->
-                window_sample_locked t (key_of_desc r.ro_kernel)
-                  (r.ro_predicted, r.ro_observed))
-              obs.ob_regions;
-            let act () =
-              let dropped, recompiled = recalibrate_locked t in
-              if Tm.Tracer.enabled () then begin
-                Tm.Tracer.annotate "invalidated" (string_of_int dropped);
-                Tm.Tracer.annotate "recompiled" (string_of_int recompiled)
-              end
-            in
-            let react () =
-              if Tm.Tracer.enabled () then
-                Tm.Tracer.with_span "adapt.recalibrate"
-                  ~attrs:[ ("residual", Printf.sprintf "%.4f" residual) ]
-                  act
-              else act ()
-            in
-            let stall0 = t.pending_stall in
-            (match react () with
-            | () ->
-              if t.pending_stall -. stall0 > t.params.stall_budget then
-                Breaker.record_failure t.breaker ~now
-              else Breaker.record_success t.breaker
-            | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-            | exception _ ->
-              (* A failed fit must not take serving down: the previous
-                 calibration stays installed, the failure feeds the
-                 breaker. *)
-              Breaker.record_failure t.breaker ~now);
-            true
-          end
-        end
-        else false)
+  t.observations <- t.observations + 1;
+  Tm.Metrics.incr m_observations;
+  List.iter
+    (fun (r : Compiler.region_observation) ->
+      window_sample t (key_of_desc r.ro_kernel)
+        (r.ro_predicted, r.ro_observed))
+    obs.ob_regions;
+  (match Hashtbl.find_opt t.hot obs.ob_shape with
+  | Some h -> h.touches <- h.touches + 1
+  | None -> Hashtbl.add t.hot obs.ob_shape { touches = 1 });
+  let corrected = corrected_prediction t obs in
+  let residual =
+    if corrected > 0. && obs.ob_observed > 0. then
+      log (obs.ob_observed /. corrected)
+    else 0.
   in
-  fired
+  if
+    Drift.observe t.detector residual
+    && t.observations >= t.params.min_observations
+  then begin
+    (* The breaker's clock is the observation count — the adapter's
+       only monotone notion of time, and deterministic. *)
+    let now = float_of_int t.observations in
+    if not (Breaker.allow t.breaker ~now) then begin
+      (* Recalibration has been failing (or blowing its stall
+         budget): keep serving on the current calibration rather
+         than thrash. The detector will fire again; the first fire
+         past the cooldown is the half-open probe. *)
+      t.breaker_skipped <- t.breaker_skipped + 1;
+      Tm.Metrics.incr m_breaker_skipped;
+      false
+    end
+    else begin
+      t.drift_events <- t.drift_events + 1;
+      Tm.Metrics.incr m_drift_events;
+      (* Regime change: samples windowed before the shift describe
+         the old device and would drag the refit toward it. Drop
+         them and reseed from the observation that exposed the
+         drift; subsequent traffic and probes refill the windows
+         with the new regime. *)
+      Hashtbl.reset t.windows;
+      List.iter
+        (fun (r : Compiler.region_observation) ->
+          window_sample t (key_of_desc r.ro_kernel)
+            (r.ro_predicted, r.ro_observed))
+        obs.ob_regions;
+      let act () =
+        let dropped, recompiled = recalibrate t in
+        if Tm.Tracer.enabled () then begin
+          Tm.Tracer.annotate "invalidated" (string_of_int dropped);
+          Tm.Tracer.annotate "recompiled" (string_of_int recompiled)
+        end
+      in
+      let react () =
+        if Tm.Tracer.enabled () then
+          Tm.Tracer.with_span "adapt.recalibrate"
+            ~attrs:[ ("residual", Printf.sprintf "%.4f" residual) ]
+            act
+        else act ()
+      in
+      let stall0 = t.pending_stall in
+      (match react () with
+      | () ->
+        if t.pending_stall -. stall0 > t.params.stall_budget then
+          Breaker.record_failure t.breaker ~now
+        else Breaker.record_success t.breaker
+      | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
+      | exception _ ->
+        (* A failed fit must not take serving down: the previous
+           calibration stays installed, the failure feeds the
+           breaker. *)
+        Breaker.record_failure t.breaker ~now);
+      true
+    end
+  end
+  else false
 
 let create ?(params = default_params) ?(register = true) compiler =
   let t =
@@ -267,7 +258,6 @@ let create ?(params = default_params) ?(register = true) compiler =
       params;
       compiler;
       registered = register;
-      lock = Mutex.create ();
       detector = Drift.create ~params:params.drift ();
       windows = Hashtbl.create 64;
       hot = Hashtbl.create 64;
@@ -290,19 +280,18 @@ let create ?(params = default_params) ?(register = true) compiler =
 
 let compiler t = t.compiler
 
-let set_execution_hardware t hw = locked t (fun () -> t.exec_hw <- Some hw)
+let set_execution_hardware t hw = t.exec_hw <- Some hw
 
-let clear_execution_hardware t = locked t (fun () -> t.exec_hw <- None)
+let clear_execution_hardware t = t.exec_hw <- None
 
 let observe_shape t (m, n, k) =
   let op = Operator.gemm ~m ~n ~k () in
   let c = Compiler.compile t.compiler op in
-  let hw = locked t (fun () -> t.exec_hw) in
-  let result, obs = Compiler.simulate_observed ?hw t.compiler c in
+  let result, obs = Compiler.simulate_observed ?hw:t.exec_hw t.compiler c in
   if not t.registered then ignore (observe t obs);
   (result, obs)
 
-let calibrate t = locked t (fun () -> ignore (recalibrate_locked t))
+let calibrate t = ignore (recalibrate t)
 
 let ceil_div a b = (a + b - 1) / b
 
@@ -312,7 +301,7 @@ let probe t (m, n, k) =
      subsequent recalibration covers the whole kernel set rather than only
      the kernels compiled programs happened to use. Bypasses the drift
      detector — probes are measurements, not serving traffic. *)
-  let hw = locked t (fun () -> effective_hardware t) in
+  let hw = effective_hardware t in
   let set = Compiler.kernels t.compiler in
   let samples =
     Array.to_list set.entries
@@ -337,48 +326,42 @@ let probe t (m, n, k) =
            (key_of_desc e.desc, (wave *. pipe, observed)))
     |> List.filter (fun (_, (p, o)) -> p > 0. && o > 0.)
   in
-  locked t (fun () ->
-      List.iter (fun (key, sample) -> window_sample_locked t key sample) samples)
+  List.iter (fun (key, sample) -> window_sample t key sample) samples
 
-let calibration t = locked t (fun () -> t.calibration)
+let calibration t = t.calibration
 
 let correction t = Compiler.correction t.compiler
 
 let drain_stall_seconds t =
-  locked t (fun () ->
-      let s = t.pending_stall in
-      t.pending_stall <- 0.;
-      s)
+  let s = t.pending_stall in
+  t.pending_stall <- 0.;
+  s
 
 let stats t =
-  locked t (fun () ->
-      {
-        observations = t.observations;
-        drift_events = t.drift_events;
-        recalibrations = t.recalibrations;
-        recompiles = t.recompiles;
-        invalidated = t.invalidated;
-        calibrated_kernels = List.length (Calibration.curves t.calibration);
-        residual_ewma = Drift.ewma t.detector;
-        breaker_state = Breaker.state_name (Breaker.state t.breaker);
-        breaker_trips = (Breaker.stats t.breaker).trips;
-        breaker_skipped = t.breaker_skipped;
-      })
+  {
+    observations = t.observations;
+    drift_events = t.drift_events;
+    recalibrations = t.recalibrations;
+    recompiles = t.recompiles;
+    invalidated = t.invalidated;
+    calibrated_kernels = List.length (Calibration.curves t.calibration);
+    residual_ewma = Drift.ewma t.detector;
+    breaker_state = Breaker.state_name (Breaker.state t.breaker);
+    breaker_trips = (Breaker.stats t.breaker).trips;
+    breaker_skipped = t.breaker_skipped;
+  }
 
 let save_profile t ~path =
-  locked t (fun () ->
-      Profile_store.save ~path (effective_hardware t) t.calibration)
+  Profile_store.save ~path (effective_hardware t) t.calibration
 
 let load_profile t ~path =
-  let hw = locked t (fun () -> effective_hardware t) in
-  match Profile_store.load ~path hw with
+  match Profile_store.load ~path (effective_hardware t) with
   | Error _ as e -> e
   | Ok cal ->
-    locked t (fun () ->
-        t.calibration <- cal;
-        t.recalibrations <- t.recalibrations + 1;
-        let correction =
-          Calibration.correction_for_set cal (Compiler.kernels t.compiler)
-        in
-        Compiler.set_correction t.compiler (Some correction));
+    t.calibration <- cal;
+    t.recalibrations <- t.recalibrations + 1;
+    let correction =
+      Calibration.correction_for_set cal (Compiler.kernels t.compiler)
+    in
+    Compiler.set_correction t.compiler (Some correction);
     Ok ()

@@ -33,8 +33,8 @@ let generate ?(jobs = 0) ?(n_gen = 32) ?(n_syn = 12) ?(n_mik = 40)
   let jobs = Mikpoly_util.Domain_pool.resolve_jobs jobs in
   (* Candidate scoring and g_predict learning are pure per-kernel maps —
      the bulk of the offline stage — so they fan out over the shared
-     domain pool; order-preserving [map_array] keeps the result list
-     identical to the sequential one. *)
+     domain pool; each result lands in its own index slot, which keeps
+     the result list identical to the sequential one. *)
   let pmap f l =
     if jobs > 1 then begin
       let arr = Array.of_list l in

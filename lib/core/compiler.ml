@@ -62,7 +62,6 @@ type t = {
                          guaranteed-safe generic set *)
   safe_set : Kernel_set.t Lazy.t;
       (** last-rung fallback for compiles whose search itself fails *)
-  lock : Mutex.t;  (** guards cache, tick, the stats counters and hooks *)
   cache : (int * int * int, slot) Hashtbl.t;
   mutable tick : int;
   cache_capacity : int;  (** 0 = unbounded *)
@@ -103,7 +102,6 @@ let make ?config ?(cache_capacity = 0) ~safe_mode ~kernels hw =
     kernels = kernels config;
     safe_mode;
     safe_set = lazy (Kernel_set.safe_generic hw config);
-    lock = Mutex.create ();
     cache = Hashtbl.create 64;
     tick = 0;
     cache_capacity;
@@ -144,10 +142,6 @@ let config t = t.config
 
 let kernels t = t.kernels
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 let touch t slot =
   t.tick <- t.tick + 1;
   slot.last_use <- t.tick
@@ -168,7 +162,6 @@ let evict_lru t =
     Tm.Metrics.incr m_evictions
   | None -> ()
 
-(* Caller holds the lock. *)
 let insert t key c =
   if t.cache_capacity > 0 && Hashtbl.length t.cache >= t.cache_capacity then
     evict_lru t;
@@ -179,22 +172,24 @@ let insert t key c =
 (* Cache-miss compiles rank candidates with the calibrated model whenever
    a correction is installed; otherwise the plain Equation-2 model. *)
 let default_scorer t =
-  match locked t (fun () -> t.correction) with
+  match t.correction with
   | Some f -> Polymerize.Calibrated f
   | None -> Polymerize.Model Cost_model.Full
 
 let note_rung t rung =
-  locked t (fun () ->
-      match rung with
-      | Full_search -> t.l_full_search <- t.l_full_search + 1
-      | Best_effort -> t.l_best_effort <- t.l_best_effort + 1
-      | Single_pattern -> t.l_single_pattern <- t.l_single_pattern + 1
-      | Safe_generic -> t.l_safe_generic <- t.l_safe_generic + 1);
   (match rung with
-  | Full_search -> Tm.Metrics.incr m_full_search
-  | Best_effort -> Tm.Metrics.incr m_best_effort
-  | Single_pattern -> Tm.Metrics.incr m_single_pattern
-  | Safe_generic -> Tm.Metrics.incr m_safe_generic);
+  | Full_search ->
+    t.l_full_search <- t.l_full_search + 1;
+    Tm.Metrics.incr m_full_search
+  | Best_effort ->
+    t.l_best_effort <- t.l_best_effort + 1;
+    Tm.Metrics.incr m_best_effort
+  | Single_pattern ->
+    t.l_single_pattern <- t.l_single_pattern + 1;
+    Tm.Metrics.incr m_single_pattern
+  | Safe_generic ->
+    t.l_safe_generic <- t.l_safe_generic + 1;
+    Tm.Metrics.incr m_safe_generic);
   Tm.Tracer.annotate "ladder.rung" (rung_name rung)
 
 (* The degradation ladder: every cache-miss compile lands on some rung and
@@ -238,38 +233,20 @@ let search_ladder t op =
 
 let compile_lookup t op =
   let key = Operator.gemm_shape op in
-  let hit =
-    locked t (fun () ->
-        match Hashtbl.find_opt t.cache key with
-        | Some slot ->
-          touch t slot;
-          t.cache_hits <- t.cache_hits + 1;
-          Some slot.compiled
-        | None ->
-          t.cache_misses <- t.cache_misses + 1;
-          None)
-  in
-  match hit with
-  | Some c ->
+  match Hashtbl.find_opt t.cache key with
+  | Some slot ->
+    touch t slot;
+    t.cache_hits <- t.cache_hits + 1;
     Tm.Metrics.incr m_hits;
     Tm.Tracer.annotate "cache" "hit";
-    c
+    slot.compiled
   | None ->
+    t.cache_misses <- t.cache_misses + 1;
     Tm.Metrics.incr m_misses;
     Tm.Tracer.annotate "cache" "miss";
-    (* Search outside the lock so concurrent compiles of distinct shapes
-       overlap; on insert, re-check whether a racing domain won — the
-       search is deterministic, so adopting either result is sound, and
-       keeping the incumbent preserves its recency. *)
     let c = search_ladder t op in
-    locked t (fun () ->
-        match Hashtbl.find_opt t.cache key with
-        | Some slot ->
-          touch t slot;
-          slot.compiled
-        | None ->
-          insert t key c;
-          c)
+    insert t key c;
+    c
 
 let compile t op =
   if not (Tm.Tracer.enabled ()) then compile_lookup t op
@@ -280,8 +257,7 @@ let compile t op =
       (fun () -> compile_lookup t op)
   end
 
-let cached t op =
-  locked t (fun () -> Hashtbl.mem t.cache (Operator.gemm_shape op))
+let cached t op = Hashtbl.mem t.cache (Operator.gemm_shape op)
 
 (* Bulk precompilation for warm stores. The distinct not-yet-cached
    shapes go through one [Polymerize.search_batch] — per-shape pool
@@ -296,7 +272,7 @@ let cached t op =
 let warm ?jobs t shapes =
   let missing =
     List.sort_uniq compare shapes
-    |> List.filter (fun key -> not (locked t (fun () -> Hashtbl.mem t.cache key)))
+    |> List.filter (fun key -> not (Hashtbl.mem t.cache key))
   in
   match missing with
   | [] -> 0
@@ -321,10 +297,7 @@ let warm ?jobs t shapes =
       Array.iteri
         (fun i (c : Polymerize.compiled) ->
           note_rung t (if c.deadline_hit then Best_effort else Full_search);
-          locked t (fun () ->
-              match Hashtbl.find_opt t.cache keys.(i) with
-              | Some slot -> touch t slot
-              | None -> insert t keys.(i) c))
+          insert t keys.(i) c)
         cs;
       Array.length cs
     | None ->
@@ -335,65 +308,60 @@ let warm ?jobs t shapes =
         0 missing)
 
 let cache_stats t =
-  locked t (fun () ->
-      {
-        hits = t.cache_hits;
-        misses = t.cache_misses;
-        evictions = t.cache_evictions;
-        invalidations = t.cache_invalidations;
-        size = Hashtbl.length t.cache;
-      })
+  {
+    hits = t.cache_hits;
+    misses = t.cache_misses;
+    evictions = t.cache_evictions;
+    invalidations = t.cache_invalidations;
+    size = Hashtbl.length t.cache;
+  }
 
 let ladder_stats t =
-  locked t (fun () ->
-      {
-        full_search = t.l_full_search;
-        best_effort = t.l_best_effort;
-        single_pattern = t.l_single_pattern;
-        safe_generic = t.l_safe_generic;
-      })
+  {
+    full_search = t.l_full_search;
+    best_effort = t.l_best_effort;
+    single_pattern = t.l_single_pattern;
+    safe_generic = t.l_safe_generic;
+  }
 
 let reset_cache_stats t =
-  locked t (fun () ->
-      t.cache_hits <- 0;
-      t.cache_misses <- 0;
-      t.cache_evictions <- 0;
-      t.cache_invalidations <- 0)
+  t.cache_hits <- 0;
+  t.cache_misses <- 0;
+  t.cache_evictions <- 0;
+  t.cache_invalidations <- 0
 
 let invalidate t key =
-  locked t (fun () ->
-      if Hashtbl.mem t.cache key then begin
-        Hashtbl.remove t.cache key;
-        t.cache_invalidations <- t.cache_invalidations + 1;
-        Tm.Metrics.incr m_invalidations;
-        true
-      end
-      else false)
+  if Hashtbl.mem t.cache key then begin
+    Hashtbl.remove t.cache key;
+    t.cache_invalidations <- t.cache_invalidations + 1;
+    Tm.Metrics.incr m_invalidations;
+    true
+  end
+  else false
 
 let invalidate_if t pred =
-  locked t (fun () ->
-      (* Collect first: dropping entries while folding over the table is
-         unspecified. Sort so the invalidation count and telemetry order
-         are deterministic regardless of hash-table iteration order. *)
-      let victims =
-        Hashtbl.fold
-          (fun key slot acc -> if pred key slot.compiled then key :: acc else acc)
-          t.cache []
-        |> List.sort compare
-      in
-      List.iter (Hashtbl.remove t.cache) victims;
-      let n = List.length victims in
-      t.cache_invalidations <- t.cache_invalidations + n;
-      for _ = 1 to n do
-        Tm.Metrics.incr m_invalidations
-      done;
-      n)
+  (* Collect first: dropping entries while folding over the table is
+     unspecified. Sort so the invalidation count and telemetry order
+     are deterministic regardless of hash-table iteration order. *)
+  let victims =
+    Hashtbl.fold
+      (fun key slot acc -> if pred key slot.compiled then key :: acc else acc)
+      t.cache []
+    |> List.sort compare
+  in
+  List.iter (Hashtbl.remove t.cache) victims;
+  let n = List.length victims in
+  t.cache_invalidations <- t.cache_invalidations + n;
+  for _ = 1 to n do
+    Tm.Metrics.incr m_invalidations
+  done;
+  n
 
-let set_correction t f = locked t (fun () -> t.correction <- f)
+let set_correction t f = t.correction <- f
 
-let correction t = locked t (fun () -> t.correction)
+let correction t = t.correction
 
-let set_observer t f = locked t (fun () -> t.observer <- f)
+let set_observer t f = t.observer <- f
 
 let compile_fresh ?scorer ?instrument t op =
   let scorer = match scorer with Some s -> s | None -> default_scorer t in
@@ -440,13 +408,13 @@ let simulate_observed ?hw t (c : Polymerize.compiled) =
         List.fold_left (fun acc r -> acc +. r.ro_observed) 0. regions;
     }
   in
-  (match locked t (fun () -> t.observer) with
+  (match t.observer with
   | Some f -> f obs
   | None -> ());
   (result, obs)
 
 let simulate t (c : Polymerize.compiled) =
-  match locked t (fun () -> t.observer) with
+  match t.observer with
   | None -> Simulator.run t.hw (Program.to_load c.program)
   | Some _ -> fst (simulate_observed t c)
 

@@ -1,7 +1,13 @@
 (** MikPoly compiler front-end: offline stage at construction, online
     polymerization per runtime shape, with a per-shape program cache
     (compiled programs for a shape already seen are reused, as a serving
-    system would). *)
+    system would).
+
+    A [t] is used from one domain: its memo, counters and hooks are
+    plain mutable state with no lock. The only parallel work it starts
+    is {!warm}'s {!Polymerize.search_batch}, whose workers never touch
+    the compiler (see the worker contract there); results are inserted
+    afterwards on the calling domain. *)
 
 type t
 
@@ -74,13 +80,8 @@ val compile : t -> Mikpoly_ir.Operator.t -> Polymerize.compiled
     per shape. Hit/miss/eviction counts feed both {!cache_stats} and the
     global [compiler.cache.*] telemetry counters; with the telemetry
     tracer enabled each call additionally records a [compiler.compile]
-    span annotated with the shape and cache outcome.
-
-    Domain-safe: the memo is mutex-guarded, with the search itself run
-    outside the lock so concurrent compiles of distinct shapes overlap.
-    Two domains racing on the same uncached shape may both search (the
-    deterministic search makes either result correct); exactly one
-    insertion wins and both count a miss. *)
+    span annotated with the shape and cache outcome. A miss runs the
+    degradation ladder and inserts its program. *)
 
 val cached : t -> Mikpoly_ir.Operator.t -> bool
 (** Whether the operator's shape already has a compiled program (i.e. a
@@ -158,9 +159,9 @@ type observation = {
 
 val set_observer : t -> (observation -> unit) option -> unit
 (** Install (or clear) the residual-feedback hook: every {!simulate} and
-    {!simulate_observed} call reports its observation to the hook (called
-    without the compiler lock held, so the hook may invalidate or
-    recalibrate). With no observer, [simulate] skips the per-region
+    {!simulate_observed} call reports its observation to the hook, after
+    the simulation, so the hook may invalidate or recalibrate. With no
+    observer, [simulate] skips the per-region
     envelope machinery entirely. *)
 
 val compile_fresh :

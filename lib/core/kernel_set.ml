@@ -14,8 +14,8 @@ type t = {
   entries : entry array;
 }
 
-(* The memo is shared by every domain that compiles (pool workers, the
-   serving scheduler's precompile fan-out), so all access goes through
+(* The one memo in the core that stays domain-safe: [create] may be
+   called from several domains at once, so all access goes through
    [cache_lock]. [create] holds the lock across the whole tuning pass:
    a second domain asking for the same platform blocks and then hits the
    memo, so the offline stage runs exactly once per (hw, config) — the

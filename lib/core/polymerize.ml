@@ -603,13 +603,15 @@ let search ?shared_view ~scorer ~instrument ~tracing (set : Kernel_set.t)
       Array.sort
         (fun (s1, i1, _) (s2, i2, _) -> compare (s1, i1) (s2, i2))
         keyed;
-      let permuted =
-        Array.exists (fun i -> let _, j, _ = keyed.(i) in i <> j)
-          (Array.init (Array.length keyed) Fun.id)
-        || Array.exists (fun i -> entry_order.(i) <> i)
-             (Array.init n_entries Fun.id)
-      in
-      if permuted && instrument then Tm.Metrics.incr m_reorders;
+      let permuted = ref false in
+      for i = 0 to Array.length keyed - 1 do
+        let _, j, _ = keyed.(i) in
+        if i <> j then permuted := true
+      done;
+      for i = 0 to n_entries - 1 do
+        if entry_order.(i) <> i then permuted := true
+      done;
+      if !permuted && instrument then Tm.Metrics.incr m_reorders;
       Array.map (fun (_, _, u) -> u) keyed
     end
   in

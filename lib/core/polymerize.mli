@@ -125,7 +125,22 @@ val search_batch :
     amortizes across many searches; batches of [<= min_chunk] shapes (or
     an effective job count of 1) run inline with zero pool dispatches.
     This is the entry the compiler's precompile paths, the fleet warm
-    store and the graph executor's compile stage go through. *)
+    store and the graph executor's compile stage go through.
+
+    {b Worker contract.} This is the repository's one parallel region
+    besides the autotuner's per-kernel scoring, so nothing a worker
+    reaches needs a lock beyond the two below. A worker reads the kernel
+    set, the config, the scorer and the per-K [Strategy_space] views,
+    which are all built before the region and never mutated during it;
+    it writes only its own result slot and the always-on telemetry
+    ({!Mikpoly_telemetry.Metrics}, {!Mikpoly_telemetry.Tracer}), which
+    stay domain-safe. Concretely: a [Calibrated] closure must only read
+    a table fixed before the batch ([Calibration.correction_for_set]
+    builds one up front); a [Config.ranker] score must be pure; the
+    [Simulate]/[Simulate_on] oracles run the memo-free simulator; and
+    [Strategy_space.skeleton] is reached only in the prologue (an empty
+    kernel set raises before any worker could reach it). The caller
+    inserts results into any cache afterwards, on its own domain. *)
 
 val prune_counter_values : unit -> int * int
 (** Current process-wide ([polymerize.pruned_analytic],

@@ -107,28 +107,21 @@ let skeleton_of_entries (entries : Kernel_set.entry array) =
 
 let cache : (Kernel_set.entry array * skeleton) list ref = ref []
 
-let cache_lock = Mutex.create ()
-
 let cache_bound = 16
 
 let skeleton (set : Kernel_set.t) =
   let key = set.entries in
-  Mutex.lock cache_lock;
-  let sk =
-    match List.find_opt (fun (k, _) -> k == key) !cache with
-    | Some (_, sk) -> sk
-    | None ->
-      let sk = skeleton_of_entries key in
-      let kept =
-        if List.length !cache >= cache_bound then
-          List.filteri (fun i _ -> i < cache_bound - 1) !cache
-        else !cache
-      in
-      cache := (key, sk) :: kept;
-      sk
-  in
-  Mutex.unlock cache_lock;
-  sk
+  match List.find_opt (fun (k, _) -> k == key) !cache with
+  | Some (_, sk) -> sk
+  | None ->
+    let sk = skeleton_of_entries key in
+    let kept =
+      if List.length !cache >= cache_bound then
+        List.filteri (fun i _ -> i < cache_bound - 1) !cache
+      else !cache
+    in
+    cache := (key, sk) :: kept;
+    sk
 
 (* ---- Per-search view: live mask and pipeline-depth floors ---- *)
 

@@ -46,7 +46,9 @@ val col_cuts :
 type skeleton
 (** The K-independent half of kernel dominance for one kernel set: for
     each entry, the entries with tiles, wave capacity {e and} rank all
-    at least as good. Cached per kernel set. *)
+    at least as good. Cached per kernel set, in an unlocked cache: call
+    it from one domain ([Polymerize.search_batch] builds its views
+    before its parallel region). *)
 
 val skeleton : Kernel_set.t -> skeleton
 

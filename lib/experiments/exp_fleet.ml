@@ -157,8 +157,6 @@ let results ~quick compiler =
 
 (* --- Acceptance gates (shared by the CLI subcommand and the bench) --- *)
 
-type gate = { gate_name : string; gate_ok : bool; gate_detail : string }
-
 let attainment r tier =
   match
     List.find_opt (fun tm -> tm.F.tm_tier = tier) r.F.tiers
@@ -175,79 +173,77 @@ let gates r =
   let be = attainment r.r_full Tenant.Best_effort in
   [
     {
-      gate_name = "fleet_goodput_beats_baseline";
-      gate_ok = m_full.Metrics.goodput_rps > r.r_baseline.Metrics.goodput_rps;
-      gate_detail =
+      Gate.name = "fleet_goodput_beats_baseline";
+      ok = m_full.Metrics.goodput_rps > r.r_baseline.Metrics.goodput_rps;
+      detail =
         Printf.sprintf "fleet %.3f req/s vs scheduler %.3f req/s (equal replicas)"
           m_full.Metrics.goodput_rps r.r_baseline.Metrics.goodput_rps;
     };
     {
-      gate_name = "no_tier_starved";
-      gate_ok = gold > 0. && silver > 0. && be > 0.;
-      gate_detail =
+      Gate.name = "no_tier_starved";
+      ok = gold > 0. && silver > 0. && be > 0.;
+      detail =
         Printf.sprintf "attainment gold %.3f / silver %.3f / best-effort %.3f"
           gold silver be;
     };
     {
-      gate_name = "tier_order_respected";
-      gate_ok = gold >= silver && silver >= be;
-      gate_detail =
+      Gate.name = "tier_order_respected";
+      ok = gold >= silver && silver >= be;
+      detail =
         Printf.sprintf "gold %.3f >= silver %.3f >= best-effort %.3f" gold
           silver be;
     };
     {
-      gate_name = "coalescing_cuts_stalls";
-      gate_ok =
+      Gate.name = "coalescing_cuts_stalls";
+      ok =
         r.r_coalesce.F.compile_stall_seconds
         < r.r_wfq.F.compile_stall_seconds;
-      gate_detail =
+      detail =
         Printf.sprintf "coalesced %.6es vs uncoalesced %.6es"
           r.r_coalesce.F.compile_stall_seconds
           r.r_wfq.F.compile_stall_seconds;
     };
     {
-      gate_name = "warm_store_engaged";
-      gate_ok =
+      Gate.name = "warm_store_engaged";
+      ok =
         r.r_full.F.warm_hits > 0
         && r.r_full.F.compile_stall_seconds
            <= r.r_coalesce.F.compile_stall_seconds;
-      gate_detail =
+      detail =
         Printf.sprintf "%d warm hits; stalls %.6es (warm) vs %.6es (no warm)"
           r.r_full.F.warm_hits r.r_full.F.compile_stall_seconds
           r.r_coalesce.F.compile_stall_seconds;
     };
     {
-      gate_name = "autoscaler_cheaper_than_static";
-      gate_ok = r.r_auto.F.replica_seconds < r.r_static.F.replica_seconds;
-      gate_detail =
+      Gate.name = "autoscaler_cheaper_than_static";
+      ok = r.r_auto.F.replica_seconds < r.r_static.F.replica_seconds;
+      detail =
         Printf.sprintf "auto %.3f replica-s vs static %.3f replica-s"
           r.r_auto.F.replica_seconds r.r_static.F.replica_seconds;
     };
     {
-      gate_name = "autoscaler_holds_slo";
-      gate_ok =
+      Gate.name = "autoscaler_holds_slo";
+      ok =
         m_auto.Metrics.slo_attainment
         >= m_static.Metrics.slo_attainment -. slo_tolerance;
-      gate_detail =
+      detail =
         Printf.sprintf "auto %.4f vs static %.4f (tolerance %.2f)"
           m_auto.Metrics.slo_attainment m_static.Metrics.slo_attainment
           slo_tolerance;
     };
     {
-      gate_name = "no_request_lost";
-      gate_ok =
+      Gate.name = "no_request_lost";
+      ok =
         List.for_all
           (fun (o : F.outcome) ->
             List.length o.F.completed + List.length o.F.dropped
             = List.length r.r_trace)
           [ r.r_wfq; r.r_coalesce; r.r_full; r.r_static; r.r_auto ];
-      gate_detail =
+      detail =
         Printf.sprintf "%d requests accounted for in every fleet arm"
           (List.length r.r_trace);
     };
   ]
-
-let failed_gates gs = List.filter (fun g -> not g.gate_ok) gs
 
 (* JSON for BENCH_fleet.json and the CLI's --out: simulated quantities
    only, so the bytes are identical across runs and job counts. *)
@@ -300,7 +296,7 @@ let json r =
   in
   let gs = gates r in
   J.Obj
-    [
+    ([
       ("experiment", J.String "fleet");
       ("quick", J.Bool r.r_quick);
       ("requests", J.Number (float_of_int (List.length r.r_trace)));
@@ -310,19 +306,8 @@ let json r =
       ("full", fleet_obj r.r_full);
       ("static_faulted", fleet_obj r.r_static);
       ("auto_faulted", fleet_obj r.r_auto);
-      ( "gates",
-        J.List
-          (List.map
-             (fun g ->
-               J.Obj
-                 [
-                   ("name", J.String g.gate_name);
-                   ("ok", J.Bool g.gate_ok);
-                   ("detail", J.String g.gate_detail);
-                 ])
-             gs) );
-      ("gates_ok", J.Bool (failed_gates gs = []));
-    ]
+     ]
+    @ Gate.json_fields gs)
 
 (* --- Human-readable report --- *)
 
@@ -399,7 +384,7 @@ let report r =
         ])
     r.r_full.F.tiers;
   let m_full = metrics r.r_full in
-  let failed = failed_gates (gates r) in
+  let gs = gates r in
   {
     Exp.id = "fleet";
     title = "Multi-tenant fleet serving (new subsystem)";
@@ -418,16 +403,11 @@ let report r =
           r.r_auto.F.peak_replicas static_replicas
           (metrics r.r_auto).Metrics.slo_attainment
           (metrics r.r_static).Metrics.slo_attainment;
-        (match failed with
-        | [] ->
-          "All fleet gates hold (goodput, tier fairness, coalescing, warm \
-           store, autoscaler)."
-        | fs ->
-          Printf.sprintf "GATE FAILURES: %s"
-            (String.concat "; "
-               (List.map
-                  (fun g -> g.gate_name ^ " (" ^ g.gate_detail ^ ")")
-                  fs)));
+        Gate.summary
+          ~all_hold:
+            "All fleet gates hold (goodput, tier fairness, coalescing, warm \
+             store, autoscaler)."
+          gs;
       ];
   }
 

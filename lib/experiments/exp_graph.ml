@@ -157,8 +157,6 @@ let serving_ab ~quick compiler =
    more than naive, and whole-graph serving attains at least the
    per-op stream's SLO fraction. *)
 
-type gate = { gate_name : string; gate_ok : bool; gate_detail : string }
-
 let gates runs serving =
   let per_bound mr f =
     List.map (fun br -> f mr br) mr.mr_bounds
@@ -168,11 +166,11 @@ let gates runs serving =
       (fun mr ->
         per_bound mr (fun mr br ->
             {
-              gate_name =
+              Gate.name =
                 Printf.sprintf "overlap_beats_sequential[%s@%s]" mr.mr_model
                   (env_label br.br_env);
-              gate_ok = br.br_ovl.Executor.r_e2e_seconds < br.br_seq.Executor.r_e2e_seconds;
-              gate_detail =
+              ok = br.br_ovl.Executor.r_e2e_seconds < br.br_seq.Executor.r_e2e_seconds;
+              detail =
                 Printf.sprintf "overlap %.6es vs sequential %.6es"
                   br.br_ovl.Executor.r_e2e_seconds br.br_seq.Executor.r_e2e_seconds;
             }))
@@ -182,9 +180,9 @@ let gates runs serving =
     List.map
       (fun mr ->
         {
-          gate_name = Printf.sprintf "rewrite_shrinks[%s]" mr.mr_model;
-          gate_ok = mr.mr_ops_after < mr.mr_ops_before;
-          gate_detail =
+          Gate.name = Printf.sprintf "rewrite_shrinks[%s]" mr.mr_model;
+          ok = mr.mr_ops_after < mr.mr_ops_before;
+          detail =
             Printf.sprintf "%d ops -> %d ops" mr.mr_ops_before mr.mr_ops_after;
         })
       runs
@@ -194,12 +192,12 @@ let gates runs serving =
       (fun mr ->
         per_bound mr (fun mr br ->
             {
-              gate_name =
+              Gate.name =
                 Printf.sprintf "plan_within_naive[%s@%s]" mr.mr_model
                   (env_label br.br_env);
-              gate_ok =
+              ok =
                 br.br_plan.Memplan.planned_bytes <= br.br_plan.Memplan.naive_bytes;
-              gate_detail =
+              detail =
                 Printf.sprintf "planned %.0fB vs naive %.0fB"
                   br.br_plan.Memplan.planned_bytes br.br_plan.Memplan.naive_bytes;
             }))
@@ -207,19 +205,17 @@ let gates runs serving =
   in
   let slo =
     {
-      gate_name = "graph_slo_at_least_per_op";
-      gate_ok =
+      Gate.name = "graph_slo_at_least_per_op";
+      ok =
         serving.sr_graph.Metrics.slo_attainment
         >= serving.sr_per_op.Metrics.slo_attainment;
-      gate_detail =
+      detail =
         Printf.sprintf "graph %.4f vs per-op %.4f"
           serving.sr_graph.Metrics.slo_attainment
           serving.sr_per_op.Metrics.slo_attainment;
     }
   in
   overlap @ shrink @ plan @ [ slo ]
-
-let failed_gates gs = List.filter (fun g -> not g.gate_ok) gs
 
 (* JSON for BENCH_graph.json and the CLI's --out: simulated quantities
    only, so the bytes are identical across runs and job counts. *)
@@ -285,7 +281,7 @@ let json ~quick runs serving =
   in
   let gs = gates runs serving in
   J.Obj
-    [
+    ([
       ("experiment", J.String "graph");
       ("quick", J.Bool quick);
       ("models", J.List (List.map model_obj runs));
@@ -297,19 +293,8 @@ let json ~quick runs serving =
             ("graph", metrics_obj serving.sr_graph);
             ("per_op", metrics_obj serving.sr_per_op);
           ] );
-      ( "gates",
-        J.List
-          (List.map
-             (fun g ->
-               J.Obj
-                 [
-                   ("name", J.String g.gate_name);
-                   ("ok", J.Bool g.gate_ok);
-                   ("detail", J.String g.gate_detail);
-                 ])
-             gs) );
-      ("gates_ok", J.Bool (failed_gates gs = []));
-    ]
+     ]
+    @ Gate.json_fields gs)
 
 let pass_rewrites mr name =
   match
@@ -377,7 +362,7 @@ let report runs serving =
     (Metrics.to_row
        ~label:(Printf.sprintf "per-op x%d" serving.sr_ops_per_request)
        serving.sr_per_op);
-  let failed = failed_gates (gates runs serving) in
+  let gs = gates runs serving in
   {
     Exp.id = "graph";
     title = "Whole-model graph serving (new subsystem)";
@@ -399,12 +384,10 @@ let report runs serving =
           (100. *. serving.sr_graph.Metrics.slo_attainment)
           (100. *. serving.sr_per_op.Metrics.slo_attainment)
           serving.sr_ops_per_request;
-        (match failed with
-        | [] -> "All graph gates hold (overlap, shrink, planning, serving SLO)."
-        | fs ->
-          Printf.sprintf "GATE FAILURES: %s"
-            (String.concat "; "
-               (List.map (fun g -> g.gate_name ^ " (" ^ g.gate_detail ^ ")") fs)));
+        Gate.summary
+          ~all_hold:
+            "All graph gates hold (overlap, shrink, planning, serving SLO)."
+          gs;
       ];
   }
 

@@ -231,8 +231,6 @@ let results ~quick =
 
 (* --- Acceptance gates (shared by the CLI subcommand and the bench) --- *)
 
-type gate = { gate_name : string; gate_ok : bool; gate_detail : string }
-
 let class_stat r name f =
   match
     List.find_opt (fun cs -> cs.H.cs_backend = name) r.H.o_classes
@@ -259,53 +257,53 @@ let gates r =
   in
   [
     {
-      gate_name = "mixed_beats_gpu_only";
-      gate_ok = m_mixed.Metrics.goodput_rps > m_gpu.Metrics.goodput_rps;
-      gate_detail =
+      Gate.name = "mixed_beats_gpu_only";
+      ok = m_mixed.Metrics.goodput_rps > m_gpu.Metrics.goodput_rps;
+      detail =
         Printf.sprintf "mixed %.3f req/s (312 PEs) vs gpu-only %.3f (324 PEs)"
           m_mixed.Metrics.goodput_rps m_gpu.Metrics.goodput_rps;
     };
     {
-      gate_name = "mixed_beats_npu_only";
-      gate_ok = m_mixed.Metrics.goodput_rps > m_npu.Metrics.goodput_rps;
-      gate_detail =
+      Gate.name = "mixed_beats_npu_only";
+      ok = m_mixed.Metrics.goodput_rps > m_npu.Metrics.goodput_rps;
+      detail =
         Printf.sprintf "mixed %.3f req/s (312 PEs) vs npu-only %.3f (320 PEs)"
           m_mixed.Metrics.goodput_rps m_npu.Metrics.goodput_rps;
     };
     {
-      gate_name = "both_classes_serve";
-      gate_ok =
+      Gate.name = "both_classes_serve";
+      ok =
         class_stat r.r_mixed "gpu" (fun cs -> cs.H.cs_completed) > 0
         && class_stat r.r_mixed "npu" (fun cs -> cs.H.cs_completed) > 0;
-      gate_detail =
+      detail =
         Printf.sprintf "mixed arm completions: gpu %d / npu %d"
           (class_stat r.r_mixed "gpu" (fun cs -> cs.H.cs_completed))
           (class_stat r.r_mixed "npu" (fun cs -> cs.H.cs_completed));
     };
     {
-      gate_name = "failover_beats_no_failover";
-      gate_ok =
+      Gate.name = "failover_beats_no_failover";
+      ok =
         m_chaos.Metrics.slo_attainment > m_nofail.Metrics.slo_attainment;
-      gate_detail =
+      detail =
         Printf.sprintf
           "SLO attainment %.4f (failover) vs %.4f (no failover), same outage"
           m_chaos.Metrics.slo_attainment m_nofail.Metrics.slo_attainment;
     };
     {
-      gate_name = "breaker_engaged";
-      gate_ok =
+      Gate.name = "breaker_engaged";
+      ok =
         class_stat r.r_chaos "gpu" (fun cs -> cs.H.cs_trips) > 0
         && r.r_chaos.H.o_reroutes > 0
         && class_stat r.r_chaos "gpu" (fun cs -> cs.H.cs_probes) > 0;
-      gate_detail =
+      detail =
         Printf.sprintf "gpu trips %d, reroutes %d, probes %d"
           (class_stat r.r_chaos "gpu" (fun cs -> cs.H.cs_trips))
           r.r_chaos.H.o_reroutes
           (class_stat r.r_chaos "gpu" (fun cs -> cs.H.cs_probes));
     };
     {
-      gate_name = "breaker_recovers";
-      gate_ok =
+      Gate.name = "breaker_recovers";
+      ok =
         (match
            List.find_opt
              (fun cs -> cs.H.cs_backend = "gpu")
@@ -313,7 +311,7 @@ let gates r =
          with
         | Some cs -> cs.H.cs_final_level = "healthy" && cs.H.cs_completed > 0
         | None -> false);
-      gate_detail =
+      detail =
         Printf.sprintf "gpu class final level %s, completed %d after outage"
           (match
              List.find_opt
@@ -325,22 +323,22 @@ let gates r =
           (class_stat r.r_chaos "gpu" (fun cs -> cs.H.cs_completed));
     };
     {
-      gate_name = "hedging_engaged";
-      gate_ok = r.r_chaos.H.o_hedges > 0;
-      gate_detail =
+      Gate.name = "hedging_engaged";
+      ok = r.r_chaos.H.o_hedges > 0;
+      detail =
         Printf.sprintf "%d hedge clones, %d losing copies cancelled at grant"
           r.r_chaos.H.o_hedges r.r_chaos.H.o_hedge_cancels;
     };
     {
-      gate_name = "brownout_ladder";
-      gate_ok =
+      Gate.name = "brownout_ladder";
+      ok =
         (match brown_gpu with
         | Some cs ->
           cs.H.cs_degraded_entries > 0
           && cs.H.cs_final_level = "healthy"
           && cs.H.cs_level_transitions <= 2 * cs.H.cs_degraded_entries
         | None -> false);
-      gate_detail =
+      detail =
         (match brown_gpu with
         | Some cs ->
           Printf.sprintf
@@ -350,16 +348,16 @@ let gates r =
         | None -> "gpu class missing");
     };
     {
-      gate_name = "ratelimit_engaged";
-      gate_ok = List.length r.r_mixed.H.o_rate_limited > 0;
-      gate_detail =
+      Gate.name = "ratelimit_engaged";
+      ok = List.length r.r_mixed.H.o_rate_limited > 0;
+      detail =
         Printf.sprintf "%d requests shed at the door in the mixed arm"
           (List.length r.r_mixed.H.o_rate_limited);
     };
     {
-      gate_name = "no_silent_losses";
-      gate_ok = List.for_all (fun (o : H.outcome) -> o.H.o_conserved) arms;
-      gate_detail =
+      Gate.name = "no_silent_losses";
+      ok = List.for_all (fun (o : H.outcome) -> o.H.o_conserved) arms;
+      detail =
         Printf.sprintf
           "all %d arms conserve the terminal-status ledger (%d requests; \
            chaos digest %s)"
@@ -368,8 +366,6 @@ let gates r =
           r.r_chaos.H.o_status_digest;
     };
   ]
-
-let failed_gates gs = List.filter (fun g -> not g.gate_ok) gs
 
 (* JSON for BENCH_hetero.json and the CLI's --out: simulated quantities
    only, so the bytes are identical across runs and job counts. *)
@@ -467,7 +463,7 @@ let json r =
       ]
   in
   J.Obj
-    [
+    ([
       ("experiment", J.String "hetero");
       ("quick", J.Bool r.r_quick);
       ("requests", J.Number (float_of_int (List.length r.r_trace)));
@@ -478,19 +474,8 @@ let json r =
       ("chaos_failover", arm_obj r.r_chaos);
       ("chaos_no_failover", arm_obj r.r_no_failover);
       ("brownout", arm_obj r.r_brownout);
-      ( "gates",
-        J.List
-          (List.map
-             (fun g ->
-               J.Obj
-                 [
-                   ("name", J.String g.gate_name);
-                   ("ok", J.Bool g.gate_ok);
-                   ("detail", J.String g.gate_detail);
-                 ])
-             gs) );
-      ("gates_ok", J.Bool (failed_gates gs = []));
-    ]
+     ]
+    @ Gate.json_fields gs)
 
 (* --- Human-readable report --- *)
 
@@ -560,7 +545,7 @@ let report r =
   let m_npu = metrics r.r_npu_only in
   let m_chaos = metrics r.r_chaos in
   let m_nofail = metrics r.r_no_failover in
-  let failed = failed_gates (gates r) in
+  let gs = gates r in
   {
     Exp.id = "hetero";
     title = "Heterogeneous mixed-fleet serving with cross-device failover";
@@ -580,17 +565,12 @@ let report r =
           "Every arm conserves its terminal-status ledger (%d requests -> completed+dropped+rate-limited, chaos digest %s); the brown-out ladder degrades and recovers the throttled class in %d transitions."
           (List.length r.r_trace) r.r_chaos.H.o_status_digest
           (class_stat r.r_brownout "gpu" (fun cs -> cs.H.cs_level_transitions));
-        (match failed with
-        | [] ->
-          "All hetero gates hold (mixed beats both single-backend fleets, \
-           failover beats no-failover, breaker/hedge/ladder engaged, no \
-           silent losses)."
-        | fs ->
-          Printf.sprintf "GATE FAILURES: %s"
-            (String.concat "; "
-               (List.map
-                  (fun g -> g.gate_name ^ " (" ^ g.gate_detail ^ ")")
-                  fs)));
+        Gate.summary
+          ~all_hold:
+            "All hetero gates hold (mixed beats both single-backend fleets, \
+             failover beats no-failover, breaker/hedge/ladder engaged, no \
+             silent losses)."
+          gs;
       ];
   }
 

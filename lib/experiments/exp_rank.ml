@@ -144,13 +144,11 @@ let results ~quick =
 
 (* --- Acceptance gates (shared by the CLI subcommand and the bench) --- *)
 
-type gate = { gate_name : string; gate_ok : bool; gate_detail : string }
-
 let tau_gate name (arm : arm) =
   {
-    gate_name = name ^ "_tau_beats_calibrated";
-    gate_ok = arm.a_learned.Ranking.tau > arm.a_cal.Ranking.tau;
-    gate_detail =
+    Gate.name = name ^ "_tau_beats_calibrated";
+    ok = arm.a_learned.Ranking.tau > arm.a_cal.Ranking.tau;
+    detail =
       Printf.sprintf "learned tau %.4f vs calibrated %.4f (raw %.4f) on %s"
         arm.a_learned.Ranking.tau arm.a_cal.Ranking.tau arm.a_raw.Ranking.tau
         arm.a_hw.Hardware.name;
@@ -158,10 +156,10 @@ let tau_gate name (arm : arm) =
 
 let regret_gate name (arm : arm) =
   {
-    gate_name = name ^ "_regret_beats_calibrated";
-    gate_ok =
+    Gate.name = name ^ "_regret_beats_calibrated";
+    ok =
       arm.a_learned.Ranking.top1_regret < arm.a_cal.Ranking.top1_regret;
-    gate_detail =
+    detail =
       Printf.sprintf
         "learned top-1 regret %.4f%% vs calibrated %.4f%% (raw %.4f%%) on %s"
         (100. *. arm.a_learned.Ranking.top1_regret)
@@ -182,9 +180,9 @@ let gates r =
          it well before the target platform has data — not about
          ordering the mid-field candidates the search never keeps, which
          is where tau spends most of its pairs. *)
-      gate_name = "warm_start_beats_cold";
-      gate_ok = r.r_warm.Ranking.top1_regret < r.r_cold.Ranking.top1_regret;
-      gate_detail =
+      Gate.name = "warm_start_beats_cold";
+      ok = r.r_warm.Ranking.top1_regret < r.r_cold.Ranking.top1_regret;
+      detail =
         Printf.sprintf
           "GPU-warm-started NPU top-1 regret %.4f%% (tau %.4f) vs cold NPU \
            %.4f%% (tau %.4f) at equal budget (%d examples)"
@@ -194,19 +192,19 @@ let gates r =
           r.r_cold.Ranking.tau r.r_transfer_examples;
     };
     {
-      gate_name = "ordering_never_changes_program";
-      gate_ok = r.r_ab.Ranker.ab_identical;
-      gate_detail =
+      Gate.name = "ordering_never_changes_program";
+      ok = r.r_ab.Ranker.ab_identical;
+      detail =
         Printf.sprintf
           "%d/%d untruncated searches bit-identical with ranker on vs off"
           (if r.r_ab.Ranker.ab_identical then r.r_ab.Ranker.ab_shapes else 0)
           r.r_ab.Ranker.ab_shapes;
     };
     {
-      gate_name = "fewer_candidates_to_winner";
-      gate_ok =
+      Gate.name = "fewer_candidates_to_winner";
+      ok =
         r.r_ab.Ranker.ab_first_hit_ranked < r.r_ab.Ranker.ab_first_hit_plain;
-      gate_detail =
+      detail =
         Printf.sprintf
           "winner first recorded after %d scored candidates (ranked) vs %d \
            (plain) summed over %d shapes"
@@ -214,11 +212,11 @@ let gates r =
           r.r_ab.Ranker.ab_shapes;
     };
     {
-      gate_name = "deadline_degrades_no_worse";
-      gate_ok =
+      Gate.name = "deadline_degrades_no_worse";
+      ok =
         r.r_ab.Ranker.ab_deadline_matches_ranked
         >= r.r_ab.Ranker.ab_deadline_matches_plain;
-      gate_detail =
+      detail =
         Printf.sprintf
           "truncated search kept the full-search program on %d/%d shapes \
            (ranked) vs %d/%d (plain); %d rescue(s)"
@@ -227,8 +225,6 @@ let gates r =
           r.r_ab.Ranker.ab_rescues;
     };
   ]
-
-let failed_gates gs = List.filter (fun g -> not g.gate_ok) gs
 
 (* JSON for BENCH_rank.json and the CLI's --out: simulated quantities
    only, so the bytes are identical across runs and job counts. *)
@@ -255,7 +251,7 @@ let json r =
   in
   let gs = gates r in
   J.Obj
-    [
+    ([
       ("experiment", J.String "rank");
       ("quick", J.Bool r.r_quick);
       ("feature_schema", J.String Features.schema_id);
@@ -285,19 +281,8 @@ let json r =
                 (float_of_int r.r_ab.Ranker.ab_deadline_matches_ranked) );
             ("rescues", J.Number (float_of_int r.r_ab.Ranker.ab_rescues));
           ] );
-      ( "gates",
-        J.List
-          (List.map
-             (fun g ->
-               J.Obj
-                 [
-                   ("name", J.String g.gate_name);
-                   ("ok", J.Bool g.gate_ok);
-                   ("detail", J.String g.gate_detail);
-                 ])
-             gs) );
-      ("gates_ok", J.Bool (failed_gates gs = []));
-    ]
+     ]
+    @ Gate.json_fields gs)
 
 (* --- Human-readable report --- *)
 
@@ -346,7 +331,7 @@ let report r =
       string_of_int ab.Ranker.ab_deadline_matches_ranked;
       string_of_int ab.Ranker.ab_shapes;
     ];
-  let failed = failed_gates (gates r) in
+  let gs = gates r in
   {
     Exp.id = "rank";
     title = "Learned candidate ranking (new subsystem)";
@@ -373,16 +358,11 @@ let report r =
           ab.Ranker.ab_shapes ab.Ranker.ab_deadline_matches_ranked
           ab.Ranker.ab_shapes ab.Ranker.ab_deadline_matches_plain
           ab.Ranker.ab_shapes ab.Ranker.ab_rescues;
-        (match failed with
-        | [] ->
-          "All ranking gates hold (tau, regret, transfer, ordering \
-           soundness, deadline)."
-        | fs ->
-          Printf.sprintf "GATE FAILURES: %s"
-            (String.concat "; "
-               (List.map
-                  (fun g -> g.gate_name ^ " (" ^ g.gate_detail ^ ")")
-                  fs)));
+        Gate.summary
+          ~all_hold:
+            "All ranking gates hold (tau, regret, transfer, ordering \
+             soundness, deadline)."
+          gs;
       ];
   }
 

@@ -54,29 +54,15 @@ let next_pow2 n =
   let rec go p = if p >= n then p else go (2 * p) in
   go 1
 
-(* Engine memos are shared with the precompile fan-out's worker domains:
-   find under the lock, compute outside it (the compute path takes other
-   locks — compiler memo, kernel-set cache — and must not nest inside
-   this one), re-check on insert so racing domains converge on a single
-   entry. The compute is deterministic, so a rare duplicated compute is
-   only wasted work, never divergence. *)
-let memo_find_or lock tbl key compute =
-  Mutex.lock lock;
-  let hit = Hashtbl.find_opt tbl key in
-  Mutex.unlock lock;
-  match hit with
+(* Engine memos live on the calling domain: the precompile phase fills
+   the compiler through [Compiler.warm], whose worker domains never see
+   these tables, and the memos themselves are filled afterwards. *)
+let memo_find_or tbl key compute =
+  match Hashtbl.find_opt tbl key with
   | Some v -> v
   | None ->
     let v = compute () in
-    Mutex.lock lock;
-    let v =
-      match Hashtbl.find_opt tbl key with
-      | Some w -> w
-      | None ->
-        Hashtbl.replace tbl key v;
-        v
-    in
-    Mutex.unlock lock;
+    Hashtbl.replace tbl key v;
     v
 
 let mikpoly_engine compiler =
@@ -86,23 +72,21 @@ let mikpoly_engine compiler =
      40-layer graph launches each family shape dozens of times — memoize
      per shape for the engine's lifetime. *)
   let gemm_memo = Hashtbl.create 1024 in
-  let gemm_lock = Mutex.create () in
   let gemm ~m ~n ~k =
     if m < 1 || n < 1 || k < 1 then Error "non-positive GEMM dimension"
     else
       Ok
-        (memo_find_or gemm_lock gemm_memo (m, n, k) (fun () ->
+        (memo_find_or gemm_memo (m, n, k) (fun () ->
              let op = Mikpoly_ir.Operator.gemm ~dtype ~m ~n ~k () in
              Mikpoly_core.Compiler.operator_seconds compiler op))
   in
   (* The KV length only drives the bandwidth-bound attention scan;
      bucketing it to a power of two keeps the step memo small. *)
   let step_memo = Hashtbl.create 256 in
-  let step_lock = Mutex.create () in
   let step_seconds ~tokens ~kv_tokens =
     if tokens < 1 then invalid_arg "Scheduler.step_seconds: tokens must be >= 1";
     let kv_len = next_pow2 (max 1 (kv_tokens / max 1 tokens)) in
-    memo_find_or step_lock step_memo (tokens, kv_len) (fun () ->
+    memo_find_or step_memo (tokens, kv_len) (fun () ->
         let graph = Mikpoly_nn.Llama.decode_graph ~batch:tokens ~kv_len in
         let r = Mikpoly_nn.Inference.run hw graph ~gemm () in
         r.Mikpoly_nn.Inference.seconds)
@@ -114,9 +98,8 @@ let mikpoly_engine compiler =
       Mikpoly_nn.Llama.layer_gemms
   in
   let compile_memo = Hashtbl.create 256 in
-  let compile_lock = Mutex.create () in
   let compile_seconds (m, n, k) =
-    memo_find_or compile_lock compile_memo (m, n, k) (fun () ->
+    memo_find_or compile_memo (m, n, k) (fun () ->
         let op = Mikpoly_ir.Operator.gemm ~dtype ~m ~n ~k () in
         let c = Mikpoly_core.Compiler.compile compiler op in
         Mikpoly_core.Polymerize.modeled_search_seconds c)
@@ -154,18 +137,16 @@ let graph_engine ~name ~bind compiler =
      count, price it once, and reuse the result for the engine's
      lifetime (the executor re-walks the DAG per call) *)
   let step_memo = Hashtbl.create 64 in
-  let step_lock = Mutex.create () in
   let costs tokens =
-    memo_find_or step_lock step_memo tokens (fun () ->
+    memo_find_or step_memo tokens (fun () ->
         let bound = bind ~tokens in
         let run = Mikpoly_graph.Executor.execute backend bound in
         ( run.Mikpoly_graph.Executor.r_exec_seconds,
           Mikpoly_graph.Infer.shape_launches bound ))
   in
   let compile_memo = Hashtbl.create 256 in
-  let compile_lock = Mutex.create () in
   let compile_seconds (m, n, k) =
-    memo_find_or compile_lock compile_memo (m, n, k) (fun () ->
+    memo_find_or compile_memo (m, n, k) (fun () ->
         let op = Mikpoly_ir.Operator.gemm ~m ~n ~k () in
         Mikpoly_core.Polymerize.modeled_search_seconds
           (Mikpoly_core.Compiler.compile compiler op))

@@ -30,6 +30,11 @@ type engine = {
           modeled stalls and simulated outcomes are unchanged. *)
 }
 
+val memo_find_or : ('k, 'v) Hashtbl.t -> 'k -> (unit -> 'v) -> 'v
+(** [memo_find_or tbl key compute] is the memoized [compute ()] for
+    [key]: the engines' per-shape and per-step memos. Plain mutable
+    state, used from the calling domain only. *)
+
 val mikpoly_engine : Mikpoly_core.Compiler.t -> engine
 (** The Llama2-13b continuous-batching engine of
     {!Mikpoly_nn.Inflight}, driven through the MikPoly compiler on the
@@ -146,13 +151,15 @@ val run :
 
     [jobs] ([0], the default, inherits
     {!Mikpoly_util.Domain_pool.default_jobs}; [1] forces sequential)
-    controls a concurrent precompile phase: with [jobs > 1] the GEMM
-    shapes reachable from the batcher's admissible bucketed token counts
-    are compiled up front on [jobs] worker domains through the engine's
-    mutex-guarded memos, before the (inherently sequential) event loop
-    runs. This accelerates the harness's wall clock only — the simulated
-    outcome, including per-replica compile stalls, is identical for
-    every job count.
+    controls a precompile phase: with [jobs > 1] the GEMM shapes
+    reachable from the batcher's admissible bucketed token counts go
+    through the engine's [precompile_batch] (one
+    {!Mikpoly_core.Polymerize.search_batch} over [jobs] worker
+    domains), and then fill the engine's compile memo on the calling
+    domain, before the (inherently sequential) event loop runs. This
+    accelerates the harness's wall clock only — the simulated outcome,
+    including per-replica compile stalls, is identical for every job
+    count.
 
     Telemetry: every run feeds the always-on [serve.*] metrics (steps,
     completions, drops, TTFT and stall histograms). With the tracer

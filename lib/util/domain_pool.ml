@@ -123,8 +123,6 @@ let create ~jobs =
   t.domains <- Array.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker t (i + 1)));
   t
 
-let jobs t = t.n_jobs
-
 let dispatches t =
   Mutex.lock t.lock;
   let d = t.dispatched in
@@ -145,14 +143,14 @@ let with_pool ~jobs f =
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 (* Run [body] over chunk indices [0, n_chunks). Sequential whenever the
-   pool cannot safely go parallel: one worker, a nested submission, a
-   busy pool (two non-worker domains racing for it) or shutdown. The
-   sequential path executes chunks in order and lets exceptions
-   propagate directly — bit-identical to what a deterministic caller
-   reduction observes from the parallel path. *)
+   pool cannot safely go parallel: a nested submission, a busy pool (two
+   non-worker domains racing for it) or shutdown. The sequential path
+   executes chunks in order and lets exceptions propagate directly —
+   bit-identical to what a deterministic caller reduction observes from
+   the parallel path. *)
 let run_region t ~n_chunks body =
   if n_chunks > 0 then
-    if t.n_jobs = 1 || !(Domain.DLS.get in_region_key) then
+    if !(Domain.DLS.get in_region_key) then
       for i = 0 to n_chunks - 1 do
         body i
       done
@@ -198,31 +196,10 @@ let run_region t ~n_chunks body =
 
 let ceil_div a b = (a + b - 1) / b
 
-let parallel_for t ?chunk ~start ~stop f =
-  let n = stop - start in
-  if n > 0 then begin
-    let chunk =
-      match chunk with
-      | Some c ->
-        if c < 1 then invalid_arg "Domain_pool.parallel_for: chunk must be >= 1";
-        c
-      | None -> max 1 (ceil_div n (4 * t.n_jobs))
-    in
-    let n_chunks = ceil_div n chunk in
-    run_region t ~n_chunks (fun c ->
-        let lo = start + (c * chunk) in
-        let hi = min stop (lo + chunk) in
-        for i = lo to hi - 1 do
-          f i
-        done)
-  end
-
-(* Like [parallel_for], but with a floor on chunk size: a pool dispatch
-   is only worth paying when each unit carries at least [min_chunk]
-   iterations of work. When the whole range fits inside one chunk the
-   region degenerates to a single chunk, which [run_region] executes on
-   the caller without waking workers only if the pool is sequential —
-   so short ranges additionally bypass region submission entirely. *)
+(* Chunks carry at least [min_chunk] consecutive indices, and otherwise
+   split the range ~4 ways per worker so idle workers have something to
+   steal. A range that fits in one chunk, or a one-worker pool, runs
+   inline without submitting a region. *)
 let parallel_for_batched t ?(min_chunk = 1) ~start ~stop f =
   if min_chunk < 1 then
     invalid_arg "Domain_pool.parallel_for_batched: min_chunk must be >= 1";
@@ -234,38 +211,12 @@ let parallel_for_batched t ?(min_chunk = 1) ~start ~stop f =
       done
     else
       let chunk = max min_chunk (ceil_div n (4 * t.n_jobs)) in
-      parallel_for t ~chunk ~start ~stop f
-
-let map_array t ?chunk f a =
-  let n = Array.length a in
-  if n = 0 then [||]
-  else begin
-    (* Element 0 is computed on the caller to seed the result array
-       without an ['b] witness; the rest fan out. *)
-    let res = Array.make n (f a.(0)) in
-    parallel_for t ?chunk ~start:1 ~stop:n (fun i -> res.(i) <- f a.(i));
-    res
-  end
-
-let map_reduce t ?(chunk = 1) ~start ~stop ~map ~reduce init =
-  let n = stop - start in
-  if n <= 0 then init
-  else begin
-    if chunk < 1 then invalid_arg "Domain_pool.map_reduce: chunk must be >= 1";
-    let n_chunks = ceil_div n chunk in
-    let parts = Array.make n_chunks None in
-    run_region t ~n_chunks (fun c ->
-        let lo = start + (c * chunk) in
-        let hi = min stop (lo + chunk) in
-        let acc = ref (map lo) in
-        for i = lo + 1 to hi - 1 do
-          acc := reduce !acc (map i)
-        done;
-        parts.(c) <- Some !acc);
-    Array.fold_left
-      (fun acc p -> match p with Some v -> reduce acc v | None -> acc)
-      init parts
-  end
+      run_region t ~n_chunks:(ceil_div n chunk) (fun c ->
+          let lo = start + (c * chunk) in
+          let hi = min stop (lo + chunk) in
+          for i = lo to hi - 1 do
+            f i
+          done)
 
 (* --- process-wide default and shared pool --- *)
 

@@ -1,14 +1,14 @@
 (** Fixed-size OCaml 5 domain pool with work-stealing deques.
 
-    One pool drives every parallel stage of the harness: the online
-    polymerization search, the offline autotuner's candidate evaluation
-    and the serving scheduler's concurrent shape precompilation. A pool
-    of [jobs] workers comprises the submitting domain plus [jobs - 1]
-    spawned domains; a parallel region partitions its index range into
-    chunks, deals each worker a contiguous run of chunks, and lets idle
-    workers steal from the tail of their peers' deques, so irregular
-    per-index cost (the common case in candidate search) balances
-    automatically.
+    One pool drives the harness's one parallel region: whole-shape
+    searches in [Polymerize.search_batch] (which the compiler's warm
+    path and the serving precompile phase go through), plus the offline
+    autotuner's per-kernel scoring. A pool of [jobs] workers comprises
+    the submitting domain plus [jobs - 1] spawned domains; a parallel
+    region partitions its index range into chunks, deals each worker a
+    contiguous run of chunks, and lets idle workers steal from the tail
+    of their peers' deques, so irregular per-index cost (the common
+    case in candidate search) balances automatically.
 
     Degradation is always graceful and always sequential-equivalent:
     a [jobs = 1] pool, a submission from inside a worker (nested
@@ -27,9 +27,6 @@ val create : jobs:int -> t
     [Invalid_argument] when [jobs < 1]. A [jobs = 1] pool spawns
     nothing and runs every region inline. *)
 
-val jobs : t -> int
-(** Worker count the pool was created with (including the caller). *)
-
 val dispatches : t -> int
 (** Number of regions this pool has actually handed to worker domains.
     Regions that ran inline — [jobs = 1] pools, nested submissions,
@@ -43,45 +40,19 @@ val shutdown : t -> unit
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [create], run, [shutdown] — even on exceptions. *)
 
-val parallel_for :
-  t -> ?chunk:int -> start:int -> stop:int -> (int -> unit) -> unit
-(** [parallel_for t ~start ~stop f] runs [f i] for every
-    [start <= i < stop], in parallel across the pool. [chunk] is the
-    number of consecutive indices per stealable task (default: the
-    range split ~4 ways per worker). Within a chunk, indices run in
-    order; across chunks, order is unspecified. *)
-
 val parallel_for_batched :
   t -> ?min_chunk:int -> start:int -> stop:int -> (int -> unit) -> unit
-(** [parallel_for] with a floor on work-unit size: chunks carry at
-    least [min_chunk] (default 1) consecutive indices, and a range of
-    [<= min_chunk] indices (or a [jobs = 1] pool) runs inline on the
-    caller with zero pool dispatches. Use this when the per-index body
-    is cheap enough that fine chunks would lose to dispatch overhead —
-    the polymerization batch search and serve-side precompile fan-outs
-    go through here. Raises [Invalid_argument] when [min_chunk < 1]. *)
-
-val map_array : t -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map] — element [i] of the result is [f a.(i)], so
-    the output is deterministic and independent of the job count
-    whenever [f] is pure. *)
-
-val map_reduce :
-  t ->
-  ?chunk:int ->
-  start:int ->
-  stop:int ->
-  map:(int -> 'a) ->
-  reduce:('a -> 'a -> 'a) ->
-  'a ->
-  'a
-(** [map_reduce t ~start ~stop ~map ~reduce init]: chunk-wise
-    map-then-fold. Each chunk folds its indices in order; the per-chunk
-    results are folded left-to-right in chunk order starting from
-    [init]. The grouping depends only on [chunk] (default 1), never on
-    the job count, so for an associative [reduce] the result is
-    identical at any job count — the deterministic-reduction contract
-    the search layers build on. *)
+(** [parallel_for_batched t ~start ~stop f] runs [f i] for every
+    [start <= i < stop], in parallel across the pool. The range is cut
+    into stealable chunks of consecutive indices: at least [min_chunk]
+    (default 1) each, and otherwise the range split ~4 ways per worker.
+    Within a chunk, indices run in order; across chunks, order is
+    unspecified. A range of [<= min_chunk] indices (or a [jobs = 1]
+    pool) runs inline on the caller with zero pool dispatches. Raise
+    [min_chunk] when the per-index body is cheap enough that fine
+    chunks would lose to dispatch overhead, as the polymerization batch
+    search and the autotuner do. Raises [Invalid_argument] when
+    [min_chunk < 1]. *)
 
 (** {1 Process-wide default} *)
 

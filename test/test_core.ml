@@ -750,9 +750,11 @@ let compiled_fingerprint (c : Polymerize.compiled) =
    search is sequential and deterministic, so the chosen program and
    every tally are bit-identical whether the shapes run inline (jobs=1)
    or spread over worker domains (jobs=4, one shape per chunk). *)
-let check_jobs_invariant ?scorer compiler cases =
+let check_jobs_invariant ?scorer ?config compiler cases =
   let kernels = Compiler.kernels compiler in
-  let config = Compiler.config compiler in
+  let config =
+    match config with Some c -> c | None -> Compiler.config compiler
+  in
   let ops =
     Array.of_list
       (List.map
@@ -795,6 +797,50 @@ let test_parallel_oracle_deterministic () =
   in
   check_jobs_invariant ~scorer:Polymerize.Simulate (Lazy.force gpu_compiler)
     cases
+
+(* [search_batch]'s worker contract names the scorer closures a worker
+   may call: a [Calibrated] correction whose table
+   [Calibration.correction_for_set] builds before the batch, and a
+   trained ranker's pure score. Both must keep every result
+   bit-identical across job counts. *)
+let test_parallel_contract_scorers_deterministic () =
+  let module Calibration = Mikpoly_adapt.Calibration in
+  let module Rank = Mikpoly_rank in
+  let compiler = Lazy.force gpu_compiler in
+  let kernels = Compiler.kernels compiler in
+  let cases =
+    List.filteri (fun i _ -> i mod 32 = 0) (Mikpoly_workloads.Suite.table3_gemm ())
+  in
+  let cal =
+    Calibration.of_curves ~fingerprint:(Hardware.fingerprint gpu)
+      (Array.to_list
+         (Array.mapi
+            (fun i (e : Kernel_set.entry) ->
+              ( (e.desc.um, e.desc.un, e.desc.uk),
+                match i mod 3 with
+                | 0 -> Calibration.Scale 1.25
+                | 1 -> Calibration.Affine (0.9, 50.)
+                | _ -> Calibration.Identity ))
+            kernels.entries))
+  in
+  check_jobs_invariant
+    ~scorer:(Polymerize.Calibrated (Calibration.correction_for_set cal kernels))
+    compiler cases;
+  let ranker =
+    (* harvested on a private compiler: harvesting fills its cache *)
+    let examples =
+      Rank.Dataset.harvest ~compiler:(Compiler.create gpu)
+        [ (96, 256, 128); (512, 192, 320); (768, 640, 96) ]
+    in
+    Rank.Ranker.train ~rounds:8 ~hw:gpu examples
+  in
+  check_jobs_invariant
+    ~config:
+      {
+        (Compiler.config compiler) with
+        ranker = Some (Rank.Ranker.config_ranker ranker);
+      }
+    compiler cases
 
 (* --- Analytic pruning soundness and batched search (this PR) --- *)
 
@@ -1231,6 +1277,8 @@ let () =
             test_parallel_search_deterministic_npu;
           Alcotest.test_case "oracle scorer jobs-invariant" `Quick
             test_parallel_oracle_deterministic;
+          Alcotest.test_case "contract scorers jobs-invariant" `Quick
+            test_parallel_contract_scorers_deterministic;
           Alcotest.test_case "concurrent offline create tunes once" `Quick
             test_kernel_set_concurrent_create;
         ] );

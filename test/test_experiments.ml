@@ -128,6 +128,25 @@ let test_flops_buckets () =
     Alcotest.(check int) "count" 2 n
   | [] -> Alcotest.fail "no buckets"
 
+let test_gate_helpers () =
+  let ok = { Gate.name = "a"; ok = true; detail = "fine" } in
+  let bad = { Gate.name = "b"; ok = false; detail = "1 vs 2" } in
+  let json gs =
+    Mikpoly_telemetry.Json.to_string (Mikpoly_telemetry.Json.Obj (Gate.json_fields gs))
+  in
+  Alcotest.(check string) "json, all hold"
+    {|{"gates":[{"name":"a","ok":true,"detail":"fine"}],"gates_ok":true}|}
+    (json [ ok ]);
+  Alcotest.(check bool) "json, one failed" true
+    (String.ends_with ~suffix:{|"gates_ok":false}|} (json [ ok; bad ]));
+  Alcotest.(check string) "summary, all hold" "all good"
+    (Gate.summary ~all_hold:"all good" [ ok ]);
+  Alcotest.(check string) "summary, failures" "GATE FAILURES: b (1 vs 2)"
+    (Gate.summary ~all_hold:"all good" [ ok; bad ]);
+  Alcotest.(check bool) "all_hold" true (Gate.all_hold ~prefix:"t" [ ok ]);
+  Alcotest.(check bool) "not all_hold" false
+    (Gate.all_hold ~prefix:"t" [ ok; bad ])
+
 let () =
   Alcotest.run "experiments"
     [
@@ -152,5 +171,6 @@ let () =
         [
           Alcotest.test_case "backends helpers" `Quick test_backends_helpers;
           Alcotest.test_case "flops buckets" `Quick test_flops_buckets;
+          Alcotest.test_case "gate helpers" `Quick test_gate_helpers;
         ] );
     ]

@@ -230,7 +230,8 @@ let test_parallel_spans_recorded () =
   with_tracer (fun () ->
       let n = 24 in
       Mikpoly_util.Domain_pool.with_pool ~jobs:4 (fun pool ->
-          Mikpoly_util.Domain_pool.parallel_for pool ~start:0 ~stop:n (fun i ->
+          Mikpoly_util.Domain_pool.parallel_for_batched pool ~min_chunk:1
+            ~start:0 ~stop:n (fun i ->
               Tracer.with_span
                 ("work." ^ string_of_int i)
                 (fun () -> Tracer.annotate "i" (string_of_int i))));

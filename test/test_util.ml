@@ -310,66 +310,62 @@ let test_pool_parallel_for_covers () =
   Domain_pool.with_pool ~jobs:4 (fun pool ->
       let n = 1000 in
       let acc = Array.make n 0 in
-      Domain_pool.parallel_for pool ~start:0 ~stop:n (fun i ->
-          acc.(i) <- (i * i) + 1);
+      Domain_pool.parallel_for_batched pool ~min_chunk:1 ~start:0 ~stop:n
+        (fun i -> acc.(i) <- (i * i) + 1);
       Alcotest.(check bool) "every index ran exactly once" true
         (acc = Array.init n (fun i -> (i * i) + 1)))
-
-let test_pool_map_reduce_job_invariant () =
-  let map i = (i * 7) mod 13
-  and reduce = ( + ) in
-  let at jobs =
-    Domain_pool.with_pool ~jobs (fun p ->
-        Domain_pool.map_reduce p ~start:0 ~stop:500 ~map ~reduce 0)
-  in
-  let seq = at 1 in
-  Alcotest.(check int) "jobs=2" seq (at 2);
-  Alcotest.(check int) "jobs=4" seq (at 4)
-
-let test_pool_map_array_order () =
-  Domain_pool.with_pool ~jobs:3 (fun pool ->
-      let a = Array.init 257 string_of_int in
-      let b = Domain_pool.map_array pool (fun s -> s ^ "!") a in
-      Alcotest.(check bool) "order preserved" true
-        (b = Array.map (fun s -> s ^ "!") a))
 
 exception Boom
 
 let test_pool_exception_propagates_and_drains () =
   Domain_pool.with_pool ~jobs:4 (fun pool ->
       (match
-         Domain_pool.parallel_for pool ~start:0 ~stop:100 (fun i ->
-             if i = 37 then raise Boom)
+         Domain_pool.parallel_for_batched pool ~min_chunk:1 ~start:0 ~stop:100
+           (fun i -> if i = 37 then raise Boom)
        with
       | () -> Alcotest.fail "expected Boom to propagate"
       | exception Boom -> ());
       (* the failed region must leave the pool drained and usable *)
       let hits = Atomic.make 0 in
-      Domain_pool.parallel_for pool ~start:0 ~stop:64 (fun _ ->
-          Atomic.incr hits);
+      Domain_pool.parallel_for_batched pool ~min_chunk:1 ~start:0 ~stop:64
+        (fun _ -> Atomic.incr hits);
       Alcotest.(check int) "pool usable after failure" 64 (Atomic.get hits))
 
 let test_pool_nested_submit_runs_inline () =
   Domain_pool.with_pool ~jobs:2 (fun pool ->
       let outer = Atomic.make 0 and inner = Atomic.make 0 in
-      Domain_pool.parallel_for pool ~start:0 ~stop:4 (fun _ ->
+      Domain_pool.parallel_for_batched pool ~min_chunk:1 ~start:0 ~stop:4
+        (fun _ ->
           Atomic.incr outer;
           (* a body calling back into its own pool must not deadlock *)
-          Domain_pool.parallel_for pool ~start:0 ~stop:3 (fun _ ->
-              Atomic.incr inner));
+          Domain_pool.parallel_for_batched pool ~min_chunk:1 ~start:0 ~stop:3
+            (fun _ -> Atomic.incr inner));
       Alcotest.(check int) "outer bodies" 4 (Atomic.get outer);
       Alcotest.(check int) "inner bodies" 12 (Atomic.get inner))
 
 let test_pool_jobs1_and_shutdown_idempotent () =
   let pool = Domain_pool.create ~jobs:1 in
   let hits = ref 0 in
-  Domain_pool.parallel_for pool ~start:0 ~stop:5 (fun _ -> incr hits);
+  Domain_pool.parallel_for_batched pool ~min_chunk:1 ~start:0 ~stop:5
+    (fun _ -> incr hits);
   Alcotest.(check int) "jobs=1 runs inline" 5 !hits;
   Domain_pool.shutdown pool;
   Domain_pool.shutdown pool;
   (* submitting to a shut-down pool degrades to sequential *)
-  Domain_pool.parallel_for pool ~start:0 ~stop:3 (fun _ -> incr hits);
+  Domain_pool.parallel_for_batched pool ~min_chunk:1 ~start:0 ~stop:3
+    (fun _ -> incr hits);
   Alcotest.(check int) "after shutdown" 8 !hits
+
+let test_pool_shutdown_runs_inline () =
+  (* a multi-worker pool after shutdown: the region falls back to the
+     caller instead of waiting on joined workers *)
+  let pool = Domain_pool.create ~jobs:2 in
+  Domain_pool.shutdown pool;
+  let hits = ref 0 in
+  Domain_pool.parallel_for_batched pool ~min_chunk:1 ~start:0 ~stop:10
+    (fun _ -> incr hits);
+  Alcotest.(check int) "covers" 10 !hits;
+  Alcotest.(check int) "zero dispatches" 0 (Domain_pool.dispatches pool)
 
 let test_pool_batched_covers () =
   Domain_pool.with_pool ~jobs:4 (fun pool ->
@@ -400,7 +396,8 @@ let test_pool_batched_inline_paths () =
         (Domain_pool.dispatches pool);
       (* nested inside a region body: inline, no second dispatch *)
       let inner = Atomic.make 0 in
-      Domain_pool.parallel_for pool ~start:0 ~stop:4 (fun _ ->
+      Domain_pool.parallel_for_batched pool ~min_chunk:1 ~start:0 ~stop:4
+        (fun _ ->
           Domain_pool.parallel_for_batched pool ~min_chunk:1 ~start:0 ~stop:50
             (fun _ -> Atomic.incr inner));
       Alcotest.(check int) "nested covers" 200 (Atomic.get inner);
@@ -512,16 +509,14 @@ let () =
         [
           Alcotest.test_case "parallel_for covers range" `Quick
             test_pool_parallel_for_covers;
-          Alcotest.test_case "map_reduce job-invariant" `Quick
-            test_pool_map_reduce_job_invariant;
-          Alcotest.test_case "map_array preserves order" `Quick
-            test_pool_map_array_order;
           Alcotest.test_case "exception propagates, pool drains" `Quick
             test_pool_exception_propagates_and_drains;
           Alcotest.test_case "nested submit runs inline" `Quick
             test_pool_nested_submit_runs_inline;
           Alcotest.test_case "jobs=1 and shutdown idempotent" `Quick
             test_pool_jobs1_and_shutdown_idempotent;
+          Alcotest.test_case "shutdown pool runs inline" `Quick
+            test_pool_shutdown_runs_inline;
           Alcotest.test_case "resolve_jobs" `Quick test_pool_resolve_jobs;
           Alcotest.test_case "batched covers range" `Quick
             test_pool_batched_covers;
